@@ -2,7 +2,8 @@
 
 Exit codes: 0 success / verified, 1 a verification or certificate check
 failed (a machine-readable failure record is printed to standard output),
-2 usage error.
+2 usage error: input outside the contract or a job refused by the budget,
+reported as one line on standard error.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .exterior import BudgetExceededError, phi_sums
+from .exterior import BudgetExceededError, ExteriorError, phi_sums
 from .nonvanishing import build_certificate, e1_page
 from .rootsys import (
     RootSystem,
@@ -25,22 +26,15 @@ from .rootsys import (
     rs_to_json_dict,
     SCHEMA,
 )
-from .vanishing import check_theorem1, corollary_bound, prop2_threshold
+from .vanishing import VanishingError, check_theorem1, corollary_bound, prop2_threshold
 from .verify import verify_all
-from .weyl import bwb
+from .weyl import WeylError, bwb
 
 USAGE_ERROR = 2
 
 
 class UsageError(Exception):
     pass
-
-
-def _parse_type(text: str) -> RootSystem:
-    try:
-        return root_system(text)
-    except RootSystemError as exc:
-        raise UsageError(str(exc)) from exc
 
 
 def _parse_lambda(rs: RootSystem, text: str | None) -> Weight:
@@ -68,7 +62,7 @@ def _fail_record(command: str, **fields) -> None:
 
 
 def _cmd_roots(args) -> int:
-    rs = _parse_type(args.type)
+    rs = root_system(args.type)
     if args.format == "json":
         _emit(rs_to_json_dict(rs))
         return 0
@@ -81,7 +75,7 @@ def _cmd_roots(args) -> int:
 
 
 def _cmd_coxeter(args) -> int:
-    rs = _parse_type(args.type)
+    rs = root_system(args.type)
     h, per = coxeter_numbers(rs)
     if args.format == "json":
         _emit(
@@ -103,7 +97,7 @@ def _cmd_coxeter(args) -> int:
 
 
 def _cmd_bwb(args) -> int:
-    rs = _parse_type(args.type)
+    rs = root_system(args.type)
     lam = _parse_lambda(rs, args.lam)
     outcome = bwb(rs, lam)
     if args.format == "json":
@@ -122,17 +116,10 @@ def _cmd_bwb(args) -> int:
 
 
 def _cmd_phi(args) -> int:
-    rs = _parse_type(args.type)
+    rs = root_system(args.type)
     if args.p is None:
         raise UsageError("-p is required for phi")
-    ms = phi_sums(
-        rs,
-        args.p,
-        args.sign,
-        budget=args.budget,
-        cache_dir=args.cache_dir,
-        threads=args.threads,
-    )
+    ms = phi_sums(rs, args.p, args.sign, budget=args.budget, cache_dir=args.cache_dir)
     if args.format == "json":
         doc = ms.to_json_dict()
         doc["type"] = str(rs.simple_type)
@@ -150,11 +137,11 @@ def _cmd_phi(args) -> int:
 
 
 def _cmd_e1(args) -> int:
-    rs = _parse_type(args.type)
+    rs = root_system(args.type)
     if args.p is None:
         raise UsageError("-p is required for e1")
     lam = _parse_lambda(rs, args.lam)
-    page = e1_page(rs, args.p, lam, budget=args.budget, threads=args.threads)
+    page = e1_page(rs, args.p, lam, budget=args.budget)
     if args.format == "json":
         _emit(page.to_json_dict())
         return 0
@@ -169,11 +156,11 @@ def _cmd_e1(args) -> int:
 
 
 def _cmd_check_t1(args) -> int:
-    rs = _parse_type(args.type)
+    rs = root_system(args.type)
     if args.p is None:
         raise UsageError("-p is required for check-t1")
     lam = _parse_lambda(rs, args.lam)
-    report = check_theorem1(rs, args.p, lam, budget=args.budget, threads=args.threads)
+    report = check_theorem1(rs, args.p, lam, budget=args.budget)
     if args.format == "json":
         _emit(report.to_json_dict(include_witnesses=args.witnesses))
     else:
@@ -204,7 +191,7 @@ def _cmd_check_t1(args) -> int:
 
 
 def _cmd_thresholds(args) -> int:
-    rs = _parse_type(args.type)
+    rs = root_system(args.type)
     degrees = [args.p] if args.p is not None else list(range(rs.num_positive_roots + 1))
     rows = [{"p": p, "bounds": list(prop2_threshold(rs, p))} for p in degrees]
     per_root = list(corollary_bound(rs, "per_root"))
@@ -252,7 +239,7 @@ def _explain_certificate(cert) -> None:
 
 
 def _cmd_certify(args) -> int:
-    rs = _parse_type(args.type)
+    rs = root_system(args.type)
     cert = build_certificate(rs)
     if args.format == "json":
         _emit(cert.to_json_dict())
@@ -281,7 +268,7 @@ def _cmd_certify(args) -> int:
 
 def _cmd_verify_all(args) -> int:
     golden = Path(args.golden_dir) if args.golden_dir else None
-    results = verify_all(golden_dir=golden, budget=args.budget, threads=args.threads)
+    results = verify_all(golden_dir=golden, budget=args.budget)
     if args.format == "json":
         _emit(
             {
@@ -295,6 +282,7 @@ def _cmd_verify_all(args) -> int:
                         "ok": r.ok,
                         "detail": r.detail,
                         "seconds": round(r.seconds, 3),
+                        "limit_seconds": r.limit_seconds,
                     }
                     for r in results
                 ],
@@ -322,6 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"rootcoh {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def budget(p):
+        p.add_argument("--budget", type=int, default=None, help="subset budget")
+
     def common(p, needs_p=False, needs_lambda=False):
         p.add_argument("type", help="simple type, e.g. A3, B4, E8, G2")
         p.add_argument("--format", choices=("table", "json"), default="table")
@@ -334,23 +325,21 @@ def build_parser() -> argparse.ArgumentParser:
                 default=None,
                 help="weight as comma-separated integers, one per node",
             )
-        p.add_argument("--budget", type=int, default=None, help="subset budget")
-        p.add_argument("--cache-dir", default=None, help="multiset cache directory")
-        p.add_argument("--threads", type=int, default=1, help="worker cap")
 
     common(sub.add_parser("roots", help="positive-root table in both coordinates"))
     common(sub.add_parser("coxeter", help="Coxeter number and per-root numbers"))
     common(sub.add_parser("bwb", help="regularize one weight"), needs_lambda=True)
     p_phi = sub.add_parser("phi", help="sums of p distinct roots")
     common(p_phi, needs_p=True)
+    budget(p_phi)
     p_phi.add_argument("--sign", choices=("+", "-"), default="-")
-    common(
-        sub.add_parser("e1", help="per-degree totals of a twisted exterior power"),
-        needs_p=True,
-        needs_lambda=True,
-    )
+    p_phi.add_argument("--cache-dir", default=None, help="multiset cache directory")
+    p_e1 = sub.add_parser("e1", help="per-degree totals of a twisted exterior power")
+    common(p_e1, needs_p=True, needs_lambda=True)
+    budget(p_e1)
     p_t1 = sub.add_parser("check-t1", help="dominance-or-singularity hypothesis check")
     common(p_t1, needs_p=True, needs_lambda=True)
+    budget(p_t1)
     p_t1.add_argument("--witnesses", action="store_true", help="print per-weight records")
     common(
         sub.add_parser("thresholds", help="closed-form sufficient lower bounds"),
@@ -365,8 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_all = sub.add_parser("verify-all", help="run the full verification suite")
     p_all.add_argument("--format", choices=("table", "json"), default="table")
-    p_all.add_argument("--budget", type=int, default=None)
-    p_all.add_argument("--threads", type=int, default=1)
+    budget(p_all)
     p_all.add_argument(
         "--golden-dir",
         default=None,
@@ -415,7 +403,13 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         return _HANDLERS[args.command](args)
-    except UsageError as exc:
+    except (
+        UsageError,
+        ExteriorError,
+        VanishingError,
+        WeylError,
+        RootSystemError,
+    ) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except BudgetExceededError as exc:

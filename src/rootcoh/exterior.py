@@ -1,30 +1,32 @@
 """Sums of p distinct roots and the weight multisets of Lambda^p n- (x) k_lam.
 
-The verification contract of this module is exhaustive subset enumeration:
-every p-element subset of the chosen root set is visited and its sum recorded
-with multiplicity.  Two engines enumerate the same subsets:
+The weights of ``Lambda^p n-`` with their multiplicities are the coefficients
+of ``t^p`` in ``prod_{gamma > 0} (1 + t e^{-gamma})`` (Kostant, Ann. of Math.
+74, 1961).  One engine expands that product root by root.  Layer ``j`` holds
+the sums of ``j`` distinct roots as sorted int64 keys (packed by
+:func:`encode_vectors`) with their multiplicities; adding the root ``gamma``
+merges layer ``j`` with layer ``j - 1`` shifted by the packed key of
+``gamma``.  The expansion runs only to depth ``d = min(p, N - p)``.  A subset
+and its complement sum to the sum of all the signed roots, so
 
-* ``combinations``: blocked lexicographic enumeration of the C(N, p) subsets
-  of one fixed size (the plain depth-first order over the canonical root
-  list);
-* ``split``: enumeration of all subsets of two halves of the root list,
-  recombined size by size.  This visits all 2^N subsets at once and is the
-  engine of choice when every p is needed.
+    layer N - p = (sum of the signed roots) - layer p,
 
-Both produce identical multisets (property-tested); a pure-Python reference
-enumerator is kept for small oracle checks.  Jobs whose subset count exceeds
-the budget are refused with :class:`BudgetExceededError` instead of running
-unbounded.
+and the high degrees are read off the low ones.
+
+Each (type, sign) keeps the deepest layer list built so far in one in-memory
+cache; a request for a deeper layer rebuilds the list and replaces the entry.
+Jobs whose subset count C(N, p) exceeds the budget, or whose multiplicities
+could pass int64, are refused with :class:`BudgetExceededError` before any
+allocation.  The plain enumerator :func:`subset_sums_reference` is kept as
+the test oracle.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
-import threading
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,15 +34,9 @@ from .rootsys import RootSystem, Weight
 
 DEFAULT_BUDGET = 10**8
 
-#: Largest N for which the all-subset split sweep is attempted (2^N subsets).
-_SWEEP_MAX_N = 26
-
-#: Chunk size for blocked combination enumeration.
-_CHUNK = 1 << 16
-
 
 class BudgetExceededError(RuntimeError):
-    """An enumeration job would exceed the configured subset budget."""
+    """A job would exceed the subset budget or overflow int64 multiplicities."""
 
 
 class ExteriorError(ValueError):
@@ -139,8 +135,8 @@ def _merge_key_counts(
     parts: Sequence[tuple[np.ndarray, np.ndarray]]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Merge (sorted-or-not) key/count blocks into one sorted unique block."""
-    keys = np.concatenate([p[0] for p in parts]) if parts else np.empty(0, np.int64)
-    counts = np.concatenate([p[1] for p in parts]) if parts else np.empty(0, np.int64)
+    keys = np.concatenate([p[0] for p in parts])
+    counts = np.concatenate([p[1] for p in parts])
     if keys.size == 0:
         return keys, counts
     order = np.argsort(keys, kind="stable")
@@ -154,7 +150,7 @@ def _merge_key_counts(
 
 
 # ---------------------------------------------------------------------------
-# engines
+# engine
 
 
 def subset_sums_reference(
@@ -184,113 +180,51 @@ def subset_sums_reference(
     return out
 
 
-def _sums_by_combinations(
-    mat: np.ndarray, p: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Enumerate the C(N, p) subsets of one size in lexicographic blocks."""
-    n, rank = mat.shape
-    if p == 0:
-        keys = encode_vectors(np.zeros((1, rank), dtype=np.int64), rank)
-        return keys, np.ones(1, dtype=np.int64)
-    combos = itertools.combinations(range(n), p)
-    parts: list[tuple[np.ndarray, np.ndarray]] = []
-    while True:
-        flat = np.fromiter(
-            itertools.chain.from_iterable(itertools.islice(combos, _CHUNK)),
-            dtype=np.int64,
-        )
-        if flat.size == 0:
-            break
-        idx = flat.reshape(-1, p)
-        sums = mat[idx].sum(axis=1)
-        keys, counts = np.unique(encode_vectors(sums, rank), return_counts=True)
-        parts.append((keys, counts.astype(np.int64)))
-    return _merge_key_counts(parts)
+def _layers(mat: np.ndarray, depth: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Layers 0..depth of ``prod (1 + t e^row)`` over the rows of ``mat``.
 
-
-def _half_subset_sums(mat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """All 2^h subset sums of a root block, grouped by subset size.
-
-    Returns, per size k, (keys of the sums, count-one multiplicity merged).
+    Layer j is (sorted keys, multiplicities) of the sums of j distinct rows.
+    Keys are added to keys, so no sum passes through :func:`encode_vectors`;
+    instead every column is checked up front: the sum of its ``depth``
+    largest positive entries, and of its ``depth`` most negative ones, must
+    stay inside the field's bias, or a carry would corrupt the next field.
     """
-    h, rank = mat.shape
-    sums = np.zeros((1 << h, rank), dtype=np.int64)
-    for b in range(h):
-        half = 1 << b
-        sums[half : 2 * half] = sums[:half] + mat[b]
-    sizes = np.zeros(1 << h, dtype=np.int64)
-    for b in range(h):
-        half = 1 << b
-        sizes[half : 2 * half] = sizes[:half] + 1
-    keys = encode_vectors(sums, rank)
-    by_size: list[tuple[np.ndarray, np.ndarray]] = []
-    for k in range(h + 1):
-        sel = keys[sizes == k]
-        uk, ct = np.unique(sel, return_counts=True)
-        by_size.append((uk, ct.astype(np.int64)))
-    return by_size
-
-
-def _sums_by_split(
-    mat: np.ndarray, threads: int = 1
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """All-p sweep: enumerate subsets of two halves, recombine size by size."""
     n, rank = mat.shape
-    bits, bias = _encoder(rank)
-    zero_key = int(
-        encode_vectors(np.zeros((1, rank), dtype=np.int64), rank)[0]
-    )
-    a = n // 2
-    left = _half_subset_sums(mat[:a]) if a else [(np.array([zero_key]), np.array([1]))]
-    right = (
-        _half_subset_sums(mat[a:])
-        if n - a
-        else [(np.array([zero_key]), np.array([1]))]
-    )
-
-    def combine(p: int) -> tuple[np.ndarray, np.ndarray]:
-        parts: list[tuple[np.ndarray, np.ndarray]] = []
-        for k in range(max(0, p - (n - a)), min(a, p) + 1):
-            lk, lc = left[k]
-            rk, rc = right[p - k]
-            if lk.size == 0 or rk.size == 0:
-                continue
-            pair_keys = (lk[:, None] + rk[None, :] - zero_key).ravel()
-            pair_counts = (lc[:, None] * rc[None, :]).ravel()
-            keys, inv = np.unique(pair_keys, return_inverse=True)
-            counts = np.zeros(keys.shape[0], dtype=np.int64)
-            np.add.at(counts, inv, pair_counts)
-            parts.append((keys, counts))
-        return _merge_key_counts(parts)
-
-    degrees = list(range(n + 1))
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(combine, degrees))
-    return [combine(p) for p in degrees]
+    _, bias = _encoder(rank)
+    cols = np.sort(mat, axis=0)
+    high = np.clip(cols[::-1][:depth], 0, None).sum(axis=0)
+    low = np.clip(cols[:depth], None, 0).sum(axis=0)
+    if (high >= bias).any() or (low <= -bias).any():
+        raise ExteriorError(
+            f"sums of {depth} rows exceed the packing range of {bias} per coordinate"
+        )
+    zero = encode_vectors(np.zeros((1, rank), dtype=np.int64), rank)
+    empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+    layers = [(zero, np.ones(1, dtype=np.int64))] + [empty] * depth
+    if depth == 0:
+        return layers
+    shifts = encode_vectors(mat, rank) - zero[0]
+    for k, shift in enumerate(shifts):
+        for j in range(min(k + 1, depth), 0, -1):
+            keys, counts = layers[j - 1]
+            layers[j] = _merge_key_counts([layers[j], (keys + shift, counts)])
+    return layers
 
 
 # ---------------------------------------------------------------------------
 # budget and public operations
 
-_sweep_cache: dict[tuple[str, int], list[tuple[np.ndarray, np.ndarray]]] = {}
-_sweep_lock = threading.Lock()
+#: Deepest layer list built so far, per (type, sign).
+_layer_cache: dict[tuple[str, int], list[tuple[np.ndarray, np.ndarray]]] = {}
 
 
-def subset_count(n: int, p: int) -> int:
-    return math.comb(n, p)
-
-
-def _check_budget(n: int, p: int, budget: int | None) -> int:
+def _check_budget(n: int, p: int, budget: int | None) -> None:
     limit = DEFAULT_BUDGET if budget is None else budget
-    jobs = subset_count(n, p)
+    jobs = math.comb(n, p)
     if jobs > limit:
         raise BudgetExceededError(
             f"enumerating C({n},{p}) = {jobs} subsets exceeds the budget of {limit}"
         )
-    return limit
 
 
 def _root_matrix(rs: RootSystem, sign: int) -> np.ndarray:
@@ -311,30 +245,39 @@ def sum_keys(
     p: int,
     sign: str | int = "-",
     budget: int | None = None,
-    threads: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Encoded (keys, multiplicities) of all sums of p distinct roots.
 
-    The split sweep is used (and cached per type and sign) whenever the full
-    2^N enumeration fits comfortably inside the budget; otherwise the
-    fixed-size combination engine runs.  Results are identical either way.
+    Keys are sorted ascending, which is lexicographic order of the weights.
+    The root-by-root expansion runs to depth ``d = min(p, N - p)``; for
+    ``p > N / 2`` the layer is ``(sum of the signed roots) - layer N - p``,
+    decoded, subtracted, reversed (which keeps it sorted) and re-encoded.
+    The layer list of each (type, sign) is cached and rebuilt only when a
+    deeper layer is asked for.  A job over ``budget`` subsets (default
+    :data:`DEFAULT_BUDGET`), or with ``C(N, d) >= 2**63`` so that a
+    multiplicity could wrap, is refused with :class:`BudgetExceededError`.
     """
     n = rs.num_positive_roots
     if not 0 <= p <= n:
         raise ExteriorError(f"p must lie in [0, {n}], got {p}")
-    limit = _check_budget(n, p, budget)
+    _check_budget(n, p, budget)
     s = _signed(sign)
+    depth = min(p, n - p)
+    if math.comb(n, depth) >= 2**63:
+        raise BudgetExceededError(
+            f"multiplicities up to C({n},{depth}) would overflow int64"
+        )
     key = (str(rs.simple_type), s)
-    with _sweep_lock:
-        cached = _sweep_cache.get(key)
-    if cached is not None:
-        return cached[p]
-    if n <= _SWEEP_MAX_N and (1 << n) <= limit:
-        sweep = _sums_by_split(_root_matrix(rs, s), threads=threads)
-        with _sweep_lock:
-            _sweep_cache[key] = sweep
-        return sweep[p]
-    return _sums_by_combinations(_root_matrix(rs, s), p)
+    layers = _layer_cache.get(key)
+    if layers is None or len(layers) <= depth:
+        layers = _layers(_root_matrix(rs, s), depth)
+        _layer_cache[key] = layers
+    if p == depth:
+        return layers[p]
+    keys, counts = layers[depth]
+    total = _root_matrix(rs, s).sum(axis=0)
+    vecs = total - decode_vectors(keys, rs.rank)
+    return encode_vectors(vecs[::-1], rs.rank), counts[::-1].copy()
 
 
 def sum_vectors(
@@ -342,10 +285,9 @@ def sum_vectors(
     p: int,
     sign: str | int = "-",
     budget: int | None = None,
-    threads: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Decoded (vectors, multiplicities), rows sorted lexicographically."""
-    keys, counts = sum_keys(rs, p, sign, budget, threads)
+    keys, counts = sum_keys(rs, p, sign, budget)
     return decode_vectors(keys, rs.rank), counts
 
 
@@ -355,7 +297,6 @@ def phi_sums(
     sign: str | int = "-",
     budget: int | None = None,
     cache_dir: str | os.PathLike | None = None,
-    threads: int = 1,
 ) -> WeightMultiset:
     """The multiset of sums of p distinct positive (or negative) roots."""
     s = _signed(sign)
@@ -363,7 +304,7 @@ def phi_sums(
         cached = _cache_read(rs, p, s, cache_dir)
         if cached is not None:
             return cached
-    vecs, counts = sum_vectors(rs, p, s, budget, threads)
+    vecs, counts = sum_vectors(rs, p, s, budget)
     entries = tuple(
         (Weight(tuple(int(c) for c in vecs[i])), int(counts[i]))
         for i in range(vecs.shape[0])
@@ -380,19 +321,17 @@ def lambda_p_weights(
     lam: Weight,
     budget: int | None = None,
     cache_dir: str | os.PathLike | None = None,
-    threads: int = 1,
 ) -> WeightMultiset:
     """Weights of Lambda^p n- tensored by the character lam."""
     if len(lam.coords) != rs.rank:
         raise ExteriorError(f"weight has {len(lam.coords)} coordinates")
-    return phi_sums(rs, p, "-", budget, cache_dir, threads).translate(lam)
+    return phi_sums(rs, p, "-", budget, cache_dir).translate(lam)
 
 
 def max_column_profile(
     rs: RootSystem,
     p: int,
     budget: int | None = None,
-    threads: int = 1,
 ) -> tuple[int, ...]:
     """Per-column maxima of the pairings over all sums of p distinct positive roots.
 
@@ -401,7 +340,7 @@ def max_column_profile(
     dominance threshold that forces every translated weight to sit at
     pairing >= -1.
     """
-    vecs, _ = sum_vectors(rs, p, "+", budget, threads)
+    vecs, _ = sum_vectors(rs, p, "+", budget)
     return tuple(int(v) for v in vecs.max(axis=0))
 
 
@@ -420,11 +359,6 @@ def greedy_column_profile(rs: RootSystem, p: int) -> tuple[int, ...]:
         col = sorted((r.weight.coords[i] for r in rs.positive_roots), reverse=True)
         out.append(sum(col[:p]))
     return tuple(out)
-
-
-def clear_sweep_cache() -> None:
-    with _sweep_lock:
-        _sweep_cache.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,8 @@ def theorem12_lambda(rs: RootSystem) -> Weight:
     i, j = _beta_indices(rs)
     two_rho = Weight((2,) * rs.rank)
     lam = two_rho - rs.simple_root(i).weight - rs.simple_root(j).weight
-    assert lam.is_strictly_dominant, "witness weight must be strictly dominant"
+    if not lam.is_strictly_dominant:
+        raise CertificateError(f"witness weight {lam} is not strictly dominant")
     return lam
 
 
@@ -117,7 +118,11 @@ def classify_lemma11(rs: RootSystem, lam: Weight) -> list[ClassifiedWeight]:
             None,
         )
         if nu is not None:
-            assert outcome.is_singular, "triple witness must imply singularity"
+            if not outcome.is_singular:
+                raise CertificateError(
+                    f"{rs.simple_type}: weight {mu} from root {alpha.root_coords} "
+                    f"pairs to zero with {nu.root_coords} but regularizes"
+                )
             out.append(ClassifiedWeight(alpha, mu, KIND_SINGULAR, nu, outcome))
             continue
         if is_g2 and not outcome.is_singular:
@@ -316,7 +321,6 @@ def e1_page(
     p: int,
     lam: Weight,
     budget: int | None = None,
-    threads: int = 1,
 ) -> E1Page:
     """Regularize every weight of Lambda^p n- (x) k_lam and total by degree.
 
@@ -324,7 +328,7 @@ def e1_page(
     most one bucket is nonzero the filtration leaves no room for
     cancellation, so the buckets are the exact cohomology dimensions.
     """
-    ms = lambda_p_weights(rs, p, lam, budget=budget, threads=threads)
+    ms = lambda_p_weights(rs, p, lam, budget=budget)
     buckets: dict[int, int] = {}
     for w, mult in ms.entries:
         outcome = bwb(rs, w)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .exterior import sum_keys, sum_vectors, decode_vectors
+from .exterior import sum_vectors
 from .nonvanishing import build_certificate, e1_page, theorem12_lambda
 from .rootsys import (
     RootSystem,
@@ -29,7 +29,8 @@ from .rootsys import (
 from .vanishing import check_theorem1, corollary_bound, prop2_threshold
 from .weyl import bwb, degree_by_inversions
 
-#: Types small enough for exhaustive subset sweeps (largest job C(24,12)).
+#: Types whose every degree p is checked against the full weight multiset of
+#: Lambda^p n- in criteria 4 and 5 (largest: F4, |Phi+| = 24).
 BRUTE_TYPES = (
     "A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "D5", "F4", "G2",
 )
@@ -69,7 +70,7 @@ class CriterionResult:
 
 
 def _result(number, name, ok, detail, t0, limit=None) -> CriterionResult:
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     if limit is not None and elapsed > limit:
         ok = False
         detail += f"; exceeded time limit {limit}s"
@@ -102,7 +103,7 @@ def load_golden_table(path: Path) -> set[tuple[tuple[int, ...], tuple[int, ...]]
 
 def check_appendix_tables(golden_dir: Path | None = None) -> CriterionResult:
     """Criterion 1: regenerated tables equal the golden tables as sets."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     gdir = Path(golden_dir) if golden_dir else default_golden_dir()
     if not gdir.is_dir():
         return _result(1, "appendix-tables", False, f"golden dir {gdir} not found", t0, 1.0)
@@ -136,7 +137,7 @@ def _spot_coxeter(t: SimpleType) -> int:
 
 def check_coxeter_numbers() -> CriterionResult:
     """Criterion 2: h and h_alpha laws for every type of rank <= 8."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     problems = []
     for t in all_simple_types(8):
         rs = root_system(t)
@@ -207,7 +208,7 @@ def column_stats_types() -> list[SimpleType]:
 
 def check_column_statistics() -> CriterionResult:
     """Criterion 3: column statistics match the family formulas verbatim."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     problems = []
     types = column_stats_types()
     for t in types:
@@ -225,22 +226,20 @@ def check_column_statistics() -> CriterionResult:
     return _result(3, "column-statistics", not problems, detail, t0, 1.0)
 
 
-def check_prop2_sufficiency(
-    budget: int | None = None, threads: int = 1
-) -> CriterionResult:
+def check_prop2_sufficiency(budget: int | None = None) -> CriterionResult:
     """Criterion 4: threshold weights pass the full hypothesis check, all p."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     problems = []
     worst = 0.0
     for name in BRUTE_TYPES:
         rs = root_system(name)
-        t1 = time.time()
+        t1 = time.perf_counter()
         for p in range(rs.num_positive_roots + 1):
             lam = Weight(prop2_threshold(rs, p))
-            rep = check_theorem1(rs, p, lam, budget=budget, threads=threads)
+            rep = check_theorem1(rs, p, lam, budget=budget)
             if not rep.passed:
                 problems.append(f"{name} p={p} lam={lam}: {rep.first_violation}")
-        worst = max(worst, time.time() - t1)
+        worst = max(worst, time.perf_counter() - t1)
     if worst > 60.0:
         problems.append(f"slowest type took {worst:.1f}s (limit 60s)")
     detail = (
@@ -251,15 +250,15 @@ def check_prop2_sufficiency(
     return _result(4, "prop2-sufficiency", not problems, detail, t0)
 
 
-def check_corollary5(budget: int | None = None, threads: int = 1) -> CriterionResult:
+def check_corollary5(budget: int | None = None) -> CriterionResult:
     """Criterion 5: coordinates h_alpha - 1 pass for every p simultaneously."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     problems = []
     for name in BRUTE_TYPES:
         rs = root_system(name)
         lam = Weight(corollary_bound(rs, "per_root"))
         for p in range(rs.num_positive_roots + 1):
-            rep = check_theorem1(rs, p, lam, budget=budget, threads=threads)
+            rep = check_theorem1(rs, p, lam, budget=budget)
             if not rep.passed:
                 problems.append(f"{name} p={p}: {rep.first_violation}")
     detail = (
@@ -270,9 +269,9 @@ def check_corollary5(budget: int | None = None, threads: int = 1) -> CriterionRe
     return _result(5, "corollary5-sufficiency", not problems, detail, t0)
 
 
-def check_pairing_bound(budget: int | None = None, threads: int = 1) -> CriterionResult:
+def check_pairing_bound(budget: int | None = None) -> CriterionResult:
     """Criterion 6: |(nu + rho, gamma^v)| <= h - 1 over all degree sums."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     problems = []
     for name in BOUND_TYPES:
         rs = root_system(name)
@@ -280,7 +279,7 @@ def check_pairing_bound(budget: int | None = None, threads: int = 1) -> Criterio
         coroots = np.array([r.coroot_coords for r in rs.positive_roots], dtype=np.int64)
         attained = False
         for j in range(1, rs.num_positive_roots + 1):
-            vecs, _ = sum_vectors(rs, j, "-", budget, threads)
+            vecs, _ = sum_vectors(rs, j, "-", budget)
             pair = (vecs + 1) @ coroots.T
             top = int(np.abs(pair).max())
             if top > h - 1:
@@ -303,15 +302,15 @@ def certificate_types() -> list[SimpleType]:
 
 def check_certificates() -> CriterionResult:
     """Criterion 7: nonvanishing certificates validate for every rank 2..8 type."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     problems = []
     types = certificate_types()
     worst = 0.0
     for t in types:
         rs = root_system(t)
-        t1 = time.time()
+        t1 = time.perf_counter()
         cert = build_certificate(rs)
-        worst = max(worst, time.time() - t1)
+        worst = max(worst, time.perf_counter() - t1)
         if not cert.valid:
             problems.append(f"{t}: {cert.failure}")
     a2 = root_system("A2")
@@ -342,7 +341,7 @@ def check_certificates() -> CriterionResult:
 
 def check_rho_top_degree() -> CriterionResult:
     """Criterion 8: at lam = rho and p = d - 1 everything is singular off A2."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     problems = []
     for name in RHO_TYPES:
         rs = root_system(name)
@@ -413,7 +412,7 @@ def reflection_length(rs: RootSystem, m) -> int:
 
 def check_bwb_oracle(box: int = 6) -> CriterionResult:
     """Criterion 9: regularization agrees with exhaustive Weyl-group search."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     problems = []
     total = 0
     for name in ORACLE_TYPES:
@@ -461,16 +460,15 @@ def check_bwb_oracle(box: int = 6) -> CriterionResult:
 def verify_all(
     golden_dir: Path | None = None,
     budget: int | None = None,
-    threads: int = 1,
 ) -> list[CriterionResult]:
     """Run the nine checks in order; independent of cache state."""
     return [
         check_appendix_tables(golden_dir),
         check_coxeter_numbers(),
         check_column_statistics(),
-        check_prop2_sufficiency(budget, threads),
-        check_corollary5(budget, threads),
-        check_pairing_bound(budget, threads),
+        check_prop2_sufficiency(budget),
+        check_corollary5(budget),
+        check_pairing_bound(budget),
         check_certificates(),
         check_rho_top_degree(),
         check_bwb_oracle(),

@@ -110,7 +110,8 @@ def weyl_dim(rs: RootSystem, lam: Weight) -> int:
     num = prod(sum(c * x for c, x in zip(r.coroot_coords, xp)) for r in rs.positive_roots)
     den = prod(sum(r.coroot_coords) for r in rs.positive_roots)
     q, rem = divmod(num, den)
-    assert rem == 0, "dimension product failed to divide"
+    if rem:
+        raise WeylError(f"dimension product for {lam} is not divisible by {den}")
     return q
 
 
@@ -147,7 +148,7 @@ def bwb(
         row = rows[i]
         x = [a - c * r for a, r in zip(x, row)]
         steps += 1
-    raise AssertionError("regularization failed to terminate")
+    raise WeylError(f"regularization of {lam} did not terminate in {limit} steps")
 
 
 def is_singular(rs: RootSystem, mu_plus_rho: Weight | Sequence[int]) -> bool:

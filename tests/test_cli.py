@@ -158,3 +158,36 @@ def test_verify_all_json(capsys):
     doc = json.loads(out)
     assert doc["ok"] is True
     assert len(doc["criteria"]) == 9
+    limits = {c["number"]: c["limit_seconds"] for c in doc["criteria"]}
+    assert limits == {1: 1.0, 2: 1.0, 3: 1.0, 4: None, 5: None, 6: 120.0,
+                      7: None, 8: 1.0, 9: 60.0}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check-t1", "A2", "-p", "1", "--lambda", "-1,0"),
+        ("phi", "A2", "-p", "9"),
+        ("thresholds", "A2", "-p", "9"),
+    ],
+)
+def test_out_of_contract_input_is_one_line_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("roots", "G2", "--budget", "5"),
+        ("bwb", "A2", "--lambda", "0,0", "--cache-dir", "x"),
+        ("e1", "A2", "-p", "1", "--lambda", "1,1", "--cache-dir", "x"),
+        ("check-t1", "A2", "-p", "1", "--lambda", "1,1", "--threads", "2"),
+    ],
+)
+def test_flags_only_where_they_act(capsys, argv):
+    code, _, _ = run(capsys, *argv)
+    assert code == 2

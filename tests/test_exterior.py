@@ -15,16 +15,15 @@ from rootcoh import (
     root_system,
 )
 from rootcoh.exterior import (
+    ExteriorError,
     WeightMultiset,
-    _root_matrix,
-    _sums_by_combinations,
-    _sums_by_split,
+    _layers,
     cache_filename,
     decode_vectors,
     encode_vectors,
     greedy_column_profile,
     subset_sums_reference,
-    sum_vectors,
+    sum_keys,
 )
 from rootcoh.rootsys import Weight
 
@@ -115,24 +114,37 @@ def test_reference_enumeration_agrees():
 
 
 def test_engines_agree_on_all_degrees():
+    # every p, so both the direct layers (p <= N/2) and the complement
+    # identity (p > N/2) are compared bit for bit with the oracle
     for name in ("B3", "G2", "D4"):
         rs = root_system(name)
-        mat = _root_matrix(rs, -1)
-        sweep = _sums_by_split(mat)
+        rows = [tuple(-c for c in r.weight.coords) for r in rs.positive_roots]
         for p in range(rs.num_positive_roots + 1):
-            keys, counts = _sums_by_combinations(mat, p)
-            np.testing.assert_array_equal(keys, sweep[p][0])
-            np.testing.assert_array_equal(counts, sweep[p][1])
+            ref = sorted(subset_sums_reference(rows, p).items())
+            want_keys = encode_vectors(np.array([w for w, _ in ref]), rs.rank)
+            want_counts = np.array([m for _, m in ref], dtype=np.int64)
+            keys, counts = sum_keys(rs, p, "-")
+            assert keys.dtype == counts.dtype == np.int64
+            np.testing.assert_array_equal(keys, want_keys)
+            np.testing.assert_array_equal(counts, want_counts)
 
 
-def test_threaded_split_matches_serial():
-    rs = root_system("B4")
-    mat = _root_matrix(rs, -1)
-    serial = _sums_by_split(mat, threads=1)
-    threaded = _sums_by_split(mat, threads=4)
-    for (k1, c1), (k2, c2) in zip(serial, threaded):
-        np.testing.assert_array_equal(k1, k2)
-        np.testing.assert_array_equal(c1, c2)
+def test_layers_refuse_sums_past_the_packing_range():
+    # rank 2 packs 16-bit fields with bias 2**15: one row fits, two overflow
+    mat = np.array([[20000, -1], [20000, -1]], dtype=np.int64)
+    keys, _ = _layers(mat, 1)[1]
+    np.testing.assert_array_equal(decode_vectors(keys, 2), [[20000, -1]])
+    with pytest.raises(ExteriorError):
+        _layers(mat, 2)
+    with pytest.raises(ExteriorError):
+        _layers(-mat, 2)
+
+
+def test_multiplicity_overflow_refused_before_allocation():
+    # C(120, 60) ~ 9.7e34 fits the budget given but not int64
+    e8 = root_system("E8")
+    with pytest.raises(BudgetExceededError, match="int64"):
+        sum_keys(e8, 60, budget=10**40)
 
 
 @settings(max_examples=100, deadline=None)
