@@ -19,8 +19,6 @@ from .rootsys import (
     Weight,
     all_simple_types,
     build_root_system,
-    coroot_coords,
-    coxeter_numbers,
     positive_roots_matrix,
     root_system,
     rs_from_json,
@@ -30,7 +28,6 @@ from .rootsys import (
 from .weyl import BwbOutcome, WeylError, bwb, dot_reflect, pairing, weyl_dim
 from .exterior import (
     BudgetExceededError,
-    DEFAULT_BUDGET,
     ExteriorError,
     WeightMultiset,
     lambda_p_weights,
@@ -59,7 +56,6 @@ __all__ = [
     "BwbOutcome",
     "CertificateError",
     "ColumnStats",
-    "DEFAULT_BUDGET",
     "E1Page",
     "ExteriorError",
     "NonvanishingCertificate",
@@ -79,9 +75,7 @@ __all__ = [
     "bwb",
     "check_theorem1",
     "classify_lemma11",
-    "coroot_coords",
     "corollary_bound",
-    "coxeter_numbers",
     "dot_reflect",
     "e1_page",
     "lambda_p_weights",

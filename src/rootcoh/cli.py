@@ -2,8 +2,9 @@
 
 Exit codes: 0 success / verified, 1 a verification or certificate check
 failed (a machine-readable failure record is printed to standard output),
-2 usage error: input outside the contract or a job refused by the budget,
-reported as one line on standard error.
+2 usage error: input outside the contract (one ``usage error:`` line on
+standard error) or a job refused because it would pass the exterior
+engine's working-set cap or int64 multiplicities (one ``refused:`` line).
 """
 
 from __future__ import annotations
@@ -15,12 +16,11 @@ from pathlib import Path
 
 from . import __version__
 from .exterior import BudgetExceededError, ExteriorError, phi_sums
-from .nonvanishing import build_certificate, e1_page
+from .nonvanishing import CertificateError, build_certificate, e1_page
 from .rootsys import (
     RootSystem,
     RootSystemError,
     Weight,
-    coxeter_numbers,
     positive_roots_matrix,
     root_system,
     rs_to_json_dict,
@@ -76,7 +76,7 @@ def _cmd_roots(args) -> int:
 
 def _cmd_coxeter(args) -> int:
     rs = root_system(args.type)
-    h, per = coxeter_numbers(rs)
+    h, per = rs.coxeter_number, rs.coxeter_per_root
     if args.format == "json":
         _emit(
             {
@@ -119,7 +119,7 @@ def _cmd_phi(args) -> int:
     rs = root_system(args.type)
     if args.p is None:
         raise UsageError("-p is required for phi")
-    ms = phi_sums(rs, args.p, args.sign, budget=args.budget, cache_dir=args.cache_dir)
+    ms = phi_sums(rs, args.p, args.sign)
     if args.format == "json":
         doc = ms.to_json_dict()
         doc["type"] = str(rs.simple_type)
@@ -141,7 +141,7 @@ def _cmd_e1(args) -> int:
     if args.p is None:
         raise UsageError("-p is required for e1")
     lam = _parse_lambda(rs, args.lam)
-    page = e1_page(rs, args.p, lam, budget=args.budget)
+    page = e1_page(rs, args.p, lam)
     if args.format == "json":
         _emit(page.to_json_dict())
         return 0
@@ -160,7 +160,7 @@ def _cmd_check_t1(args) -> int:
     if args.p is None:
         raise UsageError("-p is required for check-t1")
     lam = _parse_lambda(rs, args.lam)
-    report = check_theorem1(rs, args.p, lam, budget=args.budget)
+    report = check_theorem1(rs, args.p, lam)
     if args.format == "json":
         _emit(report.to_json_dict(include_witnesses=args.witnesses))
     else:
@@ -268,7 +268,7 @@ def _cmd_certify(args) -> int:
 
 def _cmd_verify_all(args) -> int:
     golden = Path(args.golden_dir) if args.golden_dir else None
-    results = verify_all(golden_dir=golden, budget=args.budget)
+    results = verify_all(golden_dir=golden)
     if args.format == "json":
         _emit(
             {
@@ -310,9 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"rootcoh {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def budget(p):
-        p.add_argument("--budget", type=int, default=None, help="subset budget")
-
     def common(p, needs_p=False, needs_lambda=False):
         p.add_argument("type", help="simple type, e.g. A3, B4, E8, G2")
         p.add_argument("--format", choices=("table", "json"), default="table")
@@ -331,15 +328,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("bwb", help="regularize one weight"), needs_lambda=True)
     p_phi = sub.add_parser("phi", help="sums of p distinct roots")
     common(p_phi, needs_p=True)
-    budget(p_phi)
     p_phi.add_argument("--sign", choices=("+", "-"), default="-")
-    p_phi.add_argument("--cache-dir", default=None, help="multiset cache directory")
     p_e1 = sub.add_parser("e1", help="per-degree totals of a twisted exterior power")
     common(p_e1, needs_p=True, needs_lambda=True)
-    budget(p_e1)
     p_t1 = sub.add_parser("check-t1", help="dominance-or-singularity hypothesis check")
     common(p_t1, needs_p=True, needs_lambda=True)
-    budget(p_t1)
     p_t1.add_argument("--witnesses", action="store_true", help="print per-weight records")
     common(
         sub.add_parser("thresholds", help="closed-form sufficient lower bounds"),
@@ -354,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_all = sub.add_parser("verify-all", help="run the full verification suite")
     p_all.add_argument("--format", choices=("table", "json"), default="table")
-    budget(p_all)
     p_all.add_argument(
         "--golden-dir",
         default=None,
@@ -409,6 +401,7 @@ def main(argv: list[str] | None = None) -> int:
         VanishingError,
         WeylError,
         RootSystemError,
+        CertificateError,
     ) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -15,16 +15,19 @@ and the high degrees are read off the low ones.
 
 Each (type, sign) keeps the deepest layer list built so far in one in-memory
 cache; a request for a deeper layer rebuilds the list and replaces the entry.
-Jobs whose subset count C(N, p) exceeds the budget, or whose multiplicities
-could pass int64, are refused with :class:`BudgetExceededError` before any
-allocation.  The plain enumerator :func:`subset_sums_reference` is kept as
-the test oracle.
+
+Memory is bounded by one fixed cap, :data:`MAX_LIVE_KEYS`, on the distinct
+weights the expansion holds: before each merge, the keys held by all layers
+plus the incoming shifted layer must stay within it, or the job is refused
+with :class:`BudgetExceededError` before that merge allocates.  Jobs whose
+multiplicities could pass int64 (``C(N, d) >= 2**63``) are refused before
+anything is allocated.  The plain enumerator :func:`subset_sums_reference`
+is kept as the test oracle.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -32,15 +35,18 @@ import numpy as np
 
 from .rootsys import RootSystem, Weight
 
-DEFAULT_BUDGET = 10**8
+#: Most keys the expansion may hold at once, over all its layers together
+#: with the shifted layer being merged in.  Of the rank <= 8 jobs with at most
+#: 10**8 subsets, A8 at p = 9 needs the most: 1,852,982 (1,645,110 at the end).
+MAX_LIVE_KEYS = 2**22
 
 
 class BudgetExceededError(RuntimeError):
-    """A job would exceed the subset budget or overflow int64 multiplicities."""
+    """A job would pass :data:`MAX_LIVE_KEYS` or overflow int64 multiplicities."""
 
 
 class ExteriorError(ValueError):
-    """Raised on out-of-range degrees or malformed cache files."""
+    """Raised on out-of-range degrees, signs or packing ranges."""
 
 
 @dataclass(frozen=True)
@@ -188,6 +194,8 @@ def _layers(mat: np.ndarray, depth: int) -> list[tuple[np.ndarray, np.ndarray]]:
     instead every column is checked up front: the sum of its ``depth``
     largest positive entries, and of its ``depth`` most negative ones, must
     stay inside the field's bias, or a carry would corrupt the next field.
+    A merge that would take the keys held past :data:`MAX_LIVE_KEYS` raises
+    :class:`BudgetExceededError` before it allocates.
     """
     n, rank = mat.shape
     _, bias = _encoder(rank)
@@ -204,27 +212,26 @@ def _layers(mat: np.ndarray, depth: int) -> list[tuple[np.ndarray, np.ndarray]]:
     if depth == 0:
         return layers
     shifts = encode_vectors(mat, rank) - zero[0]
+    live = 1
     for k, shift in enumerate(shifts):
         for j in range(min(k + 1, depth), 0, -1):
             keys, counts = layers[j - 1]
+            if live + keys.size > MAX_LIVE_KEYS:
+                raise BudgetExceededError(
+                    f"sums of up to {depth} of {n} roots would hold more than "
+                    f"MAX_LIVE_KEYS = {MAX_LIVE_KEYS} keys"
+                )
+            held = layers[j][0].size
             layers[j] = _merge_key_counts([layers[j], (keys + shift, counts)])
+            live += layers[j][0].size - held
     return layers
 
 
 # ---------------------------------------------------------------------------
-# budget and public operations
+# public operations
 
 #: Deepest layer list built so far, per (type, sign).
 _layer_cache: dict[tuple[str, int], list[tuple[np.ndarray, np.ndarray]]] = {}
-
-
-def _check_budget(n: int, p: int, budget: int | None) -> None:
-    limit = DEFAULT_BUDGET if budget is None else budget
-    jobs = math.comb(n, p)
-    if jobs > limit:
-        raise BudgetExceededError(
-            f"enumerating C({n},{p}) = {jobs} subsets exceeds the budget of {limit}"
-        )
 
 
 def _root_matrix(rs: RootSystem, sign: int) -> np.ndarray:
@@ -241,10 +248,7 @@ def _signed(sign: str | int) -> int:
 
 
 def sum_keys(
-    rs: RootSystem,
-    p: int,
-    sign: str | int = "-",
-    budget: int | None = None,
+    rs: RootSystem, p: int, sign: str | int = "-"
 ) -> tuple[np.ndarray, np.ndarray]:
     """Encoded (keys, multiplicities) of all sums of p distinct roots.
 
@@ -253,14 +257,15 @@ def sum_keys(
     ``p > N / 2`` the layer is ``(sum of the signed roots) - layer N - p``,
     decoded, subtracted, reversed (which keeps it sorted) and re-encoded.
     The layer list of each (type, sign) is cached and rebuilt only when a
-    deeper layer is asked for.  A job over ``budget`` subsets (default
-    :data:`DEFAULT_BUDGET`), or with ``C(N, d) >= 2**63`` so that a
-    multiplicity could wrap, is refused with :class:`BudgetExceededError`.
+    deeper layer is asked for.  A job with ``C(N, d) >= 2**63``, so that a
+    multiplicity could wrap, is refused with :class:`BudgetExceededError`
+    before anything is allocated; so is a build that would hold more than
+    :data:`MAX_LIVE_KEYS` keys, before the merge that would cross the cap.
+    A cached layer list is served without a second check.
     """
     n = rs.num_positive_roots
     if not 0 <= p <= n:
         raise ExteriorError(f"p must lie in [0, {n}], got {p}")
-    _check_budget(n, p, budget)
     s = _signed(sign)
     depth = min(p, n - p)
     if math.comb(n, depth) >= 2**63:
@@ -281,58 +286,31 @@ def sum_keys(
 
 
 def sum_vectors(
-    rs: RootSystem,
-    p: int,
-    sign: str | int = "-",
-    budget: int | None = None,
+    rs: RootSystem, p: int, sign: str | int = "-"
 ) -> tuple[np.ndarray, np.ndarray]:
     """Decoded (vectors, multiplicities), rows sorted lexicographically."""
-    keys, counts = sum_keys(rs, p, sign, budget)
+    keys, counts = sum_keys(rs, p, sign)
     return decode_vectors(keys, rs.rank), counts
 
 
-def phi_sums(
-    rs: RootSystem,
-    p: int,
-    sign: str | int = "-",
-    budget: int | None = None,
-    cache_dir: str | os.PathLike | None = None,
-) -> WeightMultiset:
+def phi_sums(rs: RootSystem, p: int, sign: str | int = "-") -> WeightMultiset:
     """The multiset of sums of p distinct positive (or negative) roots."""
-    s = _signed(sign)
-    if cache_dir is not None:
-        cached = _cache_read(rs, p, s, cache_dir)
-        if cached is not None:
-            return cached
-    vecs, counts = sum_vectors(rs, p, s, budget)
+    vecs, counts = sum_vectors(rs, p, sign)
     entries = tuple(
         (Weight(tuple(int(c) for c in vecs[i])), int(counts[i]))
         for i in range(vecs.shape[0])
     )
-    ms = WeightMultiset(p=p, entries=entries)
-    if cache_dir is not None:
-        _cache_write(rs, p, s, cache_dir, ms)
-    return ms
+    return WeightMultiset(p=p, entries=entries)
 
 
-def lambda_p_weights(
-    rs: RootSystem,
-    p: int,
-    lam: Weight,
-    budget: int | None = None,
-    cache_dir: str | os.PathLike | None = None,
-) -> WeightMultiset:
+def lambda_p_weights(rs: RootSystem, p: int, lam: Weight) -> WeightMultiset:
     """Weights of Lambda^p n- tensored by the character lam."""
     if len(lam.coords) != rs.rank:
         raise ExteriorError(f"weight has {len(lam.coords)} coordinates")
-    return phi_sums(rs, p, "-", budget, cache_dir).translate(lam)
+    return phi_sums(rs, p, "-").translate(lam)
 
 
-def max_column_profile(
-    rs: RootSystem,
-    p: int,
-    budget: int | None = None,
-) -> tuple[int, ...]:
+def max_column_profile(rs: RootSystem, p: int) -> tuple[int, ...]:
     """Per-column maxima of the pairings over all sums of p distinct positive roots.
 
     Coordinate i of the result is the largest value of (mu, alpha_i^v) as mu
@@ -340,7 +318,7 @@ def max_column_profile(
     dominance threshold that forces every translated weight to sit at
     pairing >= -1.
     """
-    vecs, _ = sum_vectors(rs, p, "+", budget)
+    vecs, _ = sum_vectors(rs, p, "+")
     return tuple(int(v) for v in vecs.max(axis=0))
 
 
@@ -360,56 +338,3 @@ def greedy_column_profile(rs: RootSystem, p: int) -> tuple[int, ...]:
         out.append(sum(col[:p]))
     return tuple(out)
 
-
-# ---------------------------------------------------------------------------
-# on-disk cache
-
-_CACHE_MAGIC = "rootcoh-wms/1"
-
-
-def cache_filename(rs: RootSystem, p: int, sign: int) -> str:
-    tag = "plus" if sign > 0 else "minus"
-    return f"{rs.simple_type}_{p}_{tag}.wms"
-
-
-def _cache_read(
-    rs: RootSystem, p: int, sign: int, cache_dir: str | os.PathLike
-) -> WeightMultiset | None:
-    path = os.path.join(os.fspath(cache_dir), cache_filename(rs, p, sign))
-    if not os.path.exists(path):
-        return None
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if (
-            len(header) != 5
-            or header[0] != _CACHE_MAGIC
-            or header[1] != str(rs.simple_type)
-            or header[2] != str(p)
-            or header[3] != ("+" if sign > 0 else "-")
-        ):
-            raise ExteriorError(f"cache file {path} has a foreign header")
-        count = int(header[4])
-        entries = []
-        for _ in range(count):
-            parts = fh.readline().split()
-            coords = tuple(int(x) for x in parts[: rs.rank])
-            mult = int(parts[rs.rank])
-            entries.append((Weight(coords), mult))
-    return WeightMultiset(p=p, entries=tuple(entries))
-
-
-def _cache_write(
-    rs: RootSystem, p: int, sign: int, cache_dir: str | os.PathLike, ms: WeightMultiset
-) -> None:
-    directory = os.fspath(cache_dir)
-    os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, cache_filename(rs, p, sign))
-    tmp = path + f".tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="ascii") as fh:
-        fh.write(
-            f"{_CACHE_MAGIC} {rs.simple_type} {p} {'+' if sign > 0 else '-'} "
-            f"{len(ms.entries)}\n"
-        )
-        for w, m in ms.entries:
-            fh.write(" ".join(str(c) for c in w.coords) + f" {m}\n")
-    os.replace(tmp, path)

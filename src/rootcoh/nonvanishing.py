@@ -316,19 +316,14 @@ class E1Page:
         return json.dumps(self.to_json_dict(), indent=indent)
 
 
-def e1_page(
-    rs: RootSystem,
-    p: int,
-    lam: Weight,
-    budget: int | None = None,
-) -> E1Page:
+def e1_page(rs: RootSystem, p: int, lam: Weight) -> E1Page:
     """Regularize every weight of Lambda^p n- (x) k_lam and total by degree.
 
     Buckets sum dimension times multiplicity per cohomology degree.  When at
     most one bucket is nonzero the filtration leaves no room for
     cancellation, so the buckets are the exact cohomology dimensions.
     """
-    ms = lambda_p_weights(rs, p, lam, budget=budget)
+    ms = lambda_p_weights(rs, p, lam)
     buckets: dict[int, int] = {}
     for w, mult in ms.entries:
         outcome = bwb(rs, w)

@@ -39,35 +39,20 @@ _POSITIVE_COUNT = {
     "G": lambda n: 6,
 }
 
-_RANK_CONSTRAINT = {
-    "A": "rank >= 1",
-    "B": "rank >= 2",
-    "C": "rank >= 2",
-    "D": "rank >= 4",
-    "E": "rank in {6, 7, 8}",
-    "F": "rank == 4",
-    "G": "rank == 2",
+#: Admissible ranks per family: (lowest, highest), None for no upper bound.
+_RANKS = {
+    "A": (1, None),
+    "B": (2, None),
+    "C": (2, None),
+    "D": (4, None),
+    "E": (6, 8),
+    "F": (4, 4),
+    "G": (2, 2),
 }
 
 
 class RootSystemError(ValueError):
     """Raised when a simple type or root-system document is malformed."""
-
-
-def _rank_ok(family: str, rank: int) -> bool:
-    if family == "A":
-        return rank >= 1
-    if family in ("B", "C"):
-        return rank >= 2
-    if family == "D":
-        return rank >= 4
-    if family == "E":
-        return rank in (6, 7, 8)
-    if family == "F":
-        return rank == 4
-    if family == "G":
-        return rank == 2
-    return False
 
 
 @dataclass(frozen=True, order=True)
@@ -78,12 +63,21 @@ class SimpleType:
     rank: int
 
     def __post_init__(self) -> None:
-        if self.family not in "ABCDEFG":
+        if self.family not in _RANKS:
             raise RootSystemError(f"unknown family {self.family!r}")
-        if not isinstance(self.rank, int) or not _rank_ok(self.family, self.rank):
+        lo, hi = _RANKS[self.family]
+        if (
+            not isinstance(self.rank, int)
+            or self.rank < lo
+            or (hi is not None and self.rank > hi)
+        ):
+            need = (
+                f"rank >= {lo}"
+                if hi is None
+                else "rank in {" + ", ".join(map(str, range(lo, hi + 1))) + "}"
+            )
             raise RootSystemError(
-                f"invalid rank {self.rank} for family {self.family} "
-                f"(need {_RANK_CONSTRAINT[self.family]})"
+                f"invalid rank {self.rank} for family {self.family} (need {need})"
             )
 
     @classmethod
@@ -296,11 +290,6 @@ def to_weight_coords(rs: RootSystem, root_coords: Sequence[int]) -> Weight:
     return Weight(tuple(sum(rs.cartan[a][b] * vec[b] for b in range(n)) for a in range(n)))
 
 
-def coroot_coords(rs: RootSystem, gamma: Root) -> tuple[int, ...]:
-    """Coefficients of gamma's coroot over the simple coroots."""
-    return gamma.coroot_coords
-
-
 def _generate_positive_root_coords(
     cartan: tuple[tuple[int, ...], ...], n: int
 ) -> list[tuple[int, ...]]:
@@ -408,16 +397,6 @@ def root_system(name: str | SimpleType) -> RootSystem:
     return build_root_system(t)
 
 
-def coxeter_numbers(rs: RootSystem) -> tuple[int, tuple[int, ...]]:
-    """The Coxeter number h and the per-simple-root numbers h_alpha.
-
-    h is dim(G)/rank - 1; h_alpha sums the positive pairings of the positive
-    roots against the coroot of alpha, i.e. the positive entries of alpha's
-    column of the positive-roots matrix.
-    """
-    return rs.coxeter_number, rs.coxeter_per_root
-
-
 _STAT_VALUES = (0, 1, 2, 3, -1, -2, -3)
 
 
@@ -516,25 +495,28 @@ def rs_from_json_dict(doc: dict) -> RootSystem:
     """Rebuild a RootSystem from its JSON document, validating as it goes."""
     if doc.get("schema") != SCHEMA or doc.get("kind") != "root_system":
         raise RootSystemError("not a root_system document")
-    t = SimpleType.parse(doc["type"])
-    rs = RootSystem(
-        simple_type=t,
-        cartan=tuple(tuple(int(x) for x in row) for row in doc["cartan"]),
-        half_norms=tuple(int(x) for x in doc["half_norms"]),
-        positive_roots=tuple(
-            Root(
-                root_coords=tuple(int(x) for x in r["root"]),
-                weight=Weight(tuple(int(x) for x in r["weight"])),
-                coroot_coords=tuple(int(x) for x in r["coroot"]),
-                half_norm=int(r["half_norm"]),
-                height=int(r["height"]),
-            )
-            for r in doc["roots"]
-        ),
-        rho=Weight((1,) * t.rank),
-        coxeter_number=int(doc["h"]),
-        coxeter_per_root=tuple(int(x) for x in doc["h_per_root"]),
-    )
+    try:
+        t = SimpleType.parse(doc["type"])
+        rs = RootSystem(
+            simple_type=t,
+            cartan=tuple(tuple(int(x) for x in row) for row in doc["cartan"]),
+            half_norms=tuple(int(x) for x in doc["half_norms"]),
+            positive_roots=tuple(
+                Root(
+                    root_coords=tuple(int(x) for x in r["root"]),
+                    weight=Weight(tuple(int(x) for x in r["weight"])),
+                    coroot_coords=tuple(int(x) for x in r["coroot"]),
+                    half_norm=int(r["half_norm"]),
+                    height=int(r["height"]),
+                )
+                for r in doc["roots"]
+            ),
+            rho=Weight((1,) * t.rank),
+            coxeter_number=int(doc["h"]),
+            coxeter_per_root=tuple(int(x) for x in doc["h_per_root"]),
+        )
+    except KeyError as exc:
+        raise RootSystemError(f"root_system document lacks the field {exc}") from None
     reference = build_root_system(t)
     if rs != reference:
         raise RootSystemError(f"document for {t} disagrees with the generated system")

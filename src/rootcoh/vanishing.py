@@ -19,7 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .exterior import decode_vectors, sum_keys
+from .exterior import MAX_LIVE_KEYS, decode_vectors, sum_keys
 from .rootsys import Root, RootSystem, Weight, SCHEMA
 
 
@@ -120,37 +120,35 @@ class VanishingReport:
         return json.dumps(self.to_json_dict(include_witnesses), indent=indent)
 
 
-def check_theorem1(
-    rs: RootSystem,
-    p: int,
-    lam: Weight,
-    budget: int | None = None,
-) -> VanishingReport:
+def check_theorem1(rs: RootSystem, p: int, lam: Weight) -> VanishingReport:
     """Classify every mu in the degree-p support against lam.
 
     Requires lam dominant.  Witness roots are the first positive root in
     canonical order with vanishing pairing; the first violation is the
-    lexicographically smallest violating mu.
+    lexicographically smallest violating mu.  Only the non-dominant rows are
+    paired with the coroots, in blocks of at most ``MAX_LIVE_KEYS // N``
+    rows, so no pairing block holds more entries than the exterior engine
+    may hold keys.
     """
     if len(lam.coords) != rs.rank:
         raise VanishingError(f"lambda has {len(lam.coords)} coordinates")
     if not lam.is_dominant:
         raise VanishingError(f"lambda must be dominant, got {lam}")
-    keys, _ = sum_keys(rs, p, "-", budget)
+    keys, _ = sum_keys(rs, p, "-")
     mu = decode_vectors(keys, rs.rank)
     lam_arr = np.array(lam.coords, dtype=np.int64)
-    shifted = mu + lam_arr
-    dominant = (shifted >= 0).all(axis=1)
     coroots = np.array(
         [r.coroot_coords for r in rs.positive_roots], dtype=np.int64
     )
-    pairings = (shifted + 1) @ coroots.T
-    zero = pairings == 0
-    singular = zero.any(axis=1)
-    witness_idx = np.argmax(zero, axis=1)
-    status = np.full(mu.shape[0], STATUS_VIOLATION, dtype=np.int8)
-    status[singular] = STATUS_SINGULAR
-    status[dominant] = STATUS_DOMINANT
+    status = np.full(mu.shape[0], STATUS_DOMINANT, dtype=np.int8)
+    witness_idx = np.zeros(mu.shape[0], dtype=np.intp)
+    rest = np.flatnonzero(~(mu >= -lam_arr).all(axis=1))
+    block = max(1, MAX_LIVE_KEYS // rs.num_positive_roots)
+    for start in range(0, rest.size, block):
+        rows = rest[start : start + block]
+        zero = (mu[rows] + (lam_arr + 1)) @ coroots.T == 0
+        status[rows] = np.where(zero.any(axis=1), STATUS_SINGULAR, STATUS_VIOLATION)
+        witness_idx[rows] = np.argmax(zero, axis=1)
     violations = status == STATUS_VIOLATION
     nviol = int(violations.sum())
     first = None

@@ -226,7 +226,7 @@ def check_column_statistics() -> CriterionResult:
     return _result(3, "column-statistics", not problems, detail, t0, 1.0)
 
 
-def check_prop2_sufficiency(budget: int | None = None) -> CriterionResult:
+def check_prop2_sufficiency() -> CriterionResult:
     """Criterion 4: threshold weights pass the full hypothesis check, all p."""
     t0 = time.perf_counter()
     problems = []
@@ -236,7 +236,7 @@ def check_prop2_sufficiency(budget: int | None = None) -> CriterionResult:
         t1 = time.perf_counter()
         for p in range(rs.num_positive_roots + 1):
             lam = Weight(prop2_threshold(rs, p))
-            rep = check_theorem1(rs, p, lam, budget=budget)
+            rep = check_theorem1(rs, p, lam)
             if not rep.passed:
                 problems.append(f"{name} p={p} lam={lam}: {rep.first_violation}")
         worst = max(worst, time.perf_counter() - t1)
@@ -250,7 +250,7 @@ def check_prop2_sufficiency(budget: int | None = None) -> CriterionResult:
     return _result(4, "prop2-sufficiency", not problems, detail, t0)
 
 
-def check_corollary5(budget: int | None = None) -> CriterionResult:
+def check_corollary5() -> CriterionResult:
     """Criterion 5: coordinates h_alpha - 1 pass for every p simultaneously."""
     t0 = time.perf_counter()
     problems = []
@@ -258,7 +258,7 @@ def check_corollary5(budget: int | None = None) -> CriterionResult:
         rs = root_system(name)
         lam = Weight(corollary_bound(rs, "per_root"))
         for p in range(rs.num_positive_roots + 1):
-            rep = check_theorem1(rs, p, lam, budget=budget)
+            rep = check_theorem1(rs, p, lam)
             if not rep.passed:
                 problems.append(f"{name} p={p}: {rep.first_violation}")
     detail = (
@@ -269,7 +269,7 @@ def check_corollary5(budget: int | None = None) -> CriterionResult:
     return _result(5, "corollary5-sufficiency", not problems, detail, t0)
 
 
-def check_pairing_bound(budget: int | None = None) -> CriterionResult:
+def check_pairing_bound() -> CriterionResult:
     """Criterion 6: |(nu + rho, gamma^v)| <= h - 1 over all degree sums."""
     t0 = time.perf_counter()
     problems = []
@@ -279,7 +279,7 @@ def check_pairing_bound(budget: int | None = None) -> CriterionResult:
         coroots = np.array([r.coroot_coords for r in rs.positive_roots], dtype=np.int64)
         attained = False
         for j in range(1, rs.num_positive_roots + 1):
-            vecs, _ = sum_vectors(rs, j, "-", budget)
+            vecs, _ = sum_vectors(rs, j, "-")
             pair = (vecs + 1) @ coroots.T
             top = int(np.abs(pair).max())
             if top > h - 1:
@@ -457,18 +457,15 @@ def check_bwb_oracle(box: int = 6) -> CriterionResult:
     return _result(9, "bwb-oracle", not problems, detail, t0, 60.0)
 
 
-def verify_all(
-    golden_dir: Path | None = None,
-    budget: int | None = None,
-) -> list[CriterionResult]:
+def verify_all(golden_dir: Path | None = None) -> list[CriterionResult]:
     """Run the nine checks in order; independent of cache state."""
     return [
         check_appendix_tables(golden_dir),
         check_coxeter_numbers(),
         check_column_statistics(),
-        check_prop2_sufficiency(budget),
-        check_corollary5(budget),
-        check_pairing_bound(budget),
+        check_prop2_sufficiency(),
+        check_corollary5(),
+        check_pairing_bound(),
         check_certificates(),
         check_rho_top_degree(),
         check_bwb_oracle(),

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from rootcoh import root_system
+from rootcoh import exterior, root_system
 from rootcoh.cli import main
 from rootcoh.rootsys import rs_from_json_dict
 
@@ -91,10 +91,14 @@ def test_invalid_rank_usage_error(capsys):
     assert "rank" in err
 
 
-def test_budget_refusal_exit_code(capsys):
-    code, _, err = run(capsys, "phi", "E6", "-p", "18")
+def test_budget_refusal_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(exterior, "_layer_cache", {})
+    monkeypatch.setattr(exterior, "MAX_LIVE_KEYS", 10)
+    code, out, err = run(capsys, "check-t1", "G2", "-p", "3", "--lambda", "3,5")
     assert code == 2
-    assert "budget" in err
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("refused: ")
 
 
 def test_bwb_command(capsys):
@@ -123,21 +127,6 @@ def test_thresholds_command(capsys):
     doc = json.loads(out)
     assert doc["per_degree"][1] == {"p": 1, "bounds": [1, 2]}
     assert doc["all_degrees_global"] == [5, 5]
-
-
-def test_phi_cache_identical(tmp_path, capsys):
-    code, plain, _ = run(capsys, "phi", "G2", "-p", "2", "--format", "json")
-    assert code == 0
-    code, warm, _ = run(
-        capsys, "phi", "G2", "-p", "2", "--format", "json", "--cache-dir", str(tmp_path)
-    )
-    assert code == 0
-    code, cached, _ = run(
-        capsys, "phi", "G2", "-p", "2", "--format", "json", "--cache-dir", str(tmp_path)
-    )
-    assert code == 0
-    assert json.loads(plain) == json.loads(warm) == json.loads(cached)
-    assert (tmp_path / "G2_2_minus.wms").exists()
 
 
 def test_e1_command(capsys):
@@ -169,6 +158,7 @@ def test_verify_all_json(capsys):
         ("check-t1", "A2", "-p", "1", "--lambda", "-1,0"),
         ("phi", "A2", "-p", "9"),
         ("thresholds", "A2", "-p", "9"),
+        ("certify", "A1"),
     ],
 )
 def test_out_of_contract_input_is_one_line_usage_error(capsys, argv):
@@ -186,6 +176,8 @@ def test_out_of_contract_input_is_one_line_usage_error(capsys, argv):
         ("bwb", "A2", "--lambda", "0,0", "--cache-dir", "x"),
         ("e1", "A2", "-p", "1", "--lambda", "1,1", "--cache-dir", "x"),
         ("check-t1", "A2", "-p", "1", "--lambda", "1,1", "--threads", "2"),
+        ("check-t1", "A2", "-p", "1", "--lambda", "1,1", "--budget", "5"),
+        ("phi", "A2", "-p", "1", "--cache-dir", "x"),
     ],
 )
 def test_flags_only_where_they_act(capsys, argv):

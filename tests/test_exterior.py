@@ -1,7 +1,6 @@
-"""Subset-sum enumeration engines, multisets, profiles, and the cache."""
+"""The exterior-power engine, its working-set cap, multisets and profiles."""
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -9,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from rootcoh import (
     BudgetExceededError,
+    exterior,
     lambda_p_weights,
     max_column_profile,
     phi_sums,
@@ -18,7 +18,6 @@ from rootcoh.exterior import (
     ExteriorError,
     WeightMultiset,
     _layers,
-    cache_filename,
     decode_vectors,
     encode_vectors,
     greedy_column_profile,
@@ -141,10 +140,10 @@ def test_layers_refuse_sums_past_the_packing_range():
 
 
 def test_multiplicity_overflow_refused_before_allocation():
-    # C(120, 60) ~ 9.7e34 fits the budget given but not int64
+    # C(120, 60) ~ 9.7e34 does not fit int64
     e8 = root_system("E8")
     with pytest.raises(BudgetExceededError, match="int64"):
-        sum_keys(e8, 60, budget=10**40)
+        sum_keys(e8, 60)
 
 
 @settings(max_examples=100, deadline=None)
@@ -205,42 +204,35 @@ def test_profile_unimodal_shape():
                     assert step < 0
 
 
-def test_budget_refusal():
-    e6 = root_system("E6")
-    with pytest.raises(BudgetExceededError):
-        phi_sums(e6, 18, "-")
-    # small budgets refuse small jobs too
+def test_budget_refusal(monkeypatch):
+    # a cap of 10 keys admits G2 at p = 1 (7 keys) and refuses p = 3; the
+    # cache is emptied first because cached layers skip the check
+    monkeypatch.setattr(exterior, "_layer_cache", {})
+    monkeypatch.setattr(exterior, "MAX_LIVE_KEYS", 10)
     g2 = root_system("G2")
-    with pytest.raises(BudgetExceededError):
-        phi_sums(g2, 3, "-", budget=10)
+    with pytest.raises(BudgetExceededError, match="MAX_LIVE_KEYS"):
+        phi_sums(g2, 3, "-")
+    assert phi_sums(g2, 1, "-").total == 6
+
+
+def test_largest_job_of_the_old_subset_budget_runs(monkeypatch):
+    # A8 at p = 9 held the most keys among all jobs with C(N, p) <= 10**8
+    monkeypatch.setattr(exterior, "_layer_cache", {})
+    keys, counts = sum_keys(root_system("A8"), 9, "-")
+    assert int(counts.sum()) == math.comb(36, 9)
+
+
+def test_jobs_past_the_old_subset_budget_run(monkeypatch):
+    # C(36, 10) ~ 2.5e8 subsets, but the expansion holds about 562k keys
+    monkeypatch.setattr(exterior, "_layer_cache", {})
+    keys, counts = sum_keys(root_system("E6"), 10, "-")
+    assert int(counts.sum()) == math.comb(36, 10)
 
 
 def test_large_rank_small_degree_runs():
     e8 = root_system("E8")
     ms = phi_sums(e8, 2, "-")
     assert ms.total == math.comb(120, 2)
-
-
-def test_cache_round_trip(tmp_path):
-    g2 = root_system("G2")
-    plain = phi_sums(g2, 2, "-")
-    cached_write = phi_sums(g2, 2, "-", cache_dir=tmp_path)
-    assert cached_write == plain
-    fname = cache_filename(g2, 2, -1)
-    assert fname == "G2_2_minus.wms"
-    assert (tmp_path / fname).exists()
-    cached_read = phi_sums(g2, 2, "-", cache_dir=tmp_path)
-    assert cached_read == plain
-    assert not [p for p in os.listdir(tmp_path) if ".tmp" in p]
-
-
-def test_cache_rejects_foreign_header(tmp_path):
-    g2 = root_system("G2")
-    phi_sums(g2, 2, "-", cache_dir=tmp_path)
-    bad = tmp_path / cache_filename(g2, 3, -1)
-    (tmp_path / cache_filename(g2, 2, -1)).rename(bad)
-    with pytest.raises(Exception):
-        phi_sums(g2, 3, "-", cache_dir=tmp_path)
 
 
 def test_multiset_json_round_trip():

@@ -8,8 +8,6 @@ from rootcoh import (
     RootSystemError,
     SimpleType,
     all_simple_types,
-    coroot_coords,
-    coxeter_numbers,
     positive_roots_matrix,
     root_system,
     rs_from_json,
@@ -85,7 +83,7 @@ def test_coroot_coords_simple_roots_are_units():
         rs = root_system(name)
         for i in range(rs.rank):
             expected = tuple(1 if k == i else 0 for k in range(rs.rank))
-            assert coroot_coords(rs, rs.simple_root(i)) == expected
+            assert rs.simple_root(i).coroot_coords == expected
 
 
 def test_coroot_coords_long_roots():
@@ -98,11 +96,12 @@ def test_coroot_coords_long_roots():
 
 
 def test_coxeter_examples():
-    assert coxeter_numbers(root_system("A3")) == (4, (4, 4, 4))
-    h, per = coxeter_numbers(root_system("G2"))
-    assert (h, per) == (6, (4, 6))
-    h, per = coxeter_numbers(root_system("B4"))
-    assert h == 8 and per[3] == 8
+    a3 = root_system("A3")
+    assert (a3.coxeter_number, a3.coxeter_per_root) == (4, (4, 4, 4))
+    g2 = root_system("G2")
+    assert (g2.coxeter_number, g2.coxeter_per_root) == (6, (4, 6))
+    b4 = root_system("B4")
+    assert b4.coxeter_number == 8 and b4.coxeter_per_root[3] == 8
 
 
 def test_column_stats_examples():
@@ -192,6 +191,18 @@ def test_json_rejects_tampered_document():
     doc = rs_to_json_dict(root_system("B2"))
     doc["roots"][0]["weight"] = [9, 9]
     with pytest.raises(RootSystemError):
+        rs_from_json_dict(doc)
+
+
+def test_json_missing_field_is_a_root_system_error():
+    for field in ("type", "cartan", "h", "h_per_root"):
+        doc = rs_to_json_dict(root_system("B2"))
+        del doc[field]
+        with pytest.raises(RootSystemError, match=field):
+            rs_from_json_dict(doc)
+    doc = rs_to_json_dict(root_system("B2"))
+    del doc["roots"][0]["coroot"]
+    with pytest.raises(RootSystemError, match="coroot"):
         rs_from_json_dict(doc)
 
 

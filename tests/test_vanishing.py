@@ -10,6 +10,7 @@ from rootcoh import (
     corollary_bound,
     prop2_threshold,
     root_system,
+    vanishing,
 )
 from rootcoh.exterior import greedy_column_profile
 from rootcoh.rootsys import Weight, all_simple_types
@@ -45,6 +46,24 @@ def test_a2_degree_one_at_zero_fails():
 def test_g2_degree_three_example_passes():
     g2 = root_system("G2")
     assert check_theorem1(g2, 3, Weight.of(3, 5)).passed
+
+
+def test_blocked_pairing_matches_one_block(monkeypatch):
+    # pass and fail cases, paired in 7-row blocks and in the default blocks
+    cases = [("A2", 1, (0, 0)), ("G2", 3, (3, 5)), ("B3", 4, (1, 0, 2)),
+             ("D4", 6, (0, 1, 0, 2)), ("F4", 12, (1, 1, 1, 1))]
+
+    def report(name, p, lam):
+        rep = check_theorem1(root_system(name), p, Weight(lam))
+        return (rep.to_json_dict(include_witnesses=True),
+                rep._status.tolist(), rep._witness_idx.tolist())
+
+    default = [report(*case) for case in cases]
+    assert {doc["verdict"] for doc, _, _ in default} == {"pass", "fail"}
+    for case, want in zip(cases, default):
+        n = root_system(case[0]).num_positive_roots
+        monkeypatch.setattr(vanishing, "MAX_LIVE_KEYS", 7 * n)
+        assert report(*case) == want
 
 
 def test_check_requires_dominant_lambda():
