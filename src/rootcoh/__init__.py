@@ -25,7 +25,7 @@ from .rootsys import (
     rs_to_json,
     to_weight_coords,
 )
-from .weyl import BwbOutcome, WeylError, bwb, dot_reflect, pairing, weyl_dim
+from .weyl import BwbOutcome, WeylError, bwb, dot_reflect, pairing, pairings, weyl_dim
 from .exterior import (
     BudgetExceededError,
     ExteriorError,
@@ -81,6 +81,7 @@ __all__ = [
     "lambda_p_weights",
     "max_column_profile",
     "pairing",
+    "pairings",
     "phi_sums",
     "positive_roots_matrix",
     "prop2_threshold",

@@ -15,6 +15,8 @@ and the high degrees are read off the low ones.
 
 Each (type, sign) keeps the deepest layer list built so far in one in-memory
 cache; a request for a deeper layer rebuilds the list and replaces the entry.
+The cache holds at most :data:`MAX_LIVE_KEYS` keys over all its entries: a
+new entry evicts the oldest ones until the total fits.
 
 Memory is bounded by one fixed cap, :data:`MAX_LIVE_KEYS`, on the distinct
 weights the expansion holds: before each merge, the keys held by all layers
@@ -59,16 +61,6 @@ class WeightMultiset:
     @property
     def total(self) -> int:
         return sum(m for _, m in self.entries)
-
-    @property
-    def support(self) -> tuple[Weight, ...]:
-        return tuple(w for w, _ in self.entries)
-
-    def as_dict(self) -> dict[Weight, int]:
-        return dict(self.entries)
-
-    def multiplicity(self, w: Weight) -> int:
-        return self.as_dict().get(w, 0)
 
     def translate(self, lam: Weight) -> "WeightMultiset":
         moved = sorted(((w + lam, m) for w, m in self.entries), key=lambda e: e[0].coords)
@@ -230,8 +222,26 @@ def _layers(mat: np.ndarray, depth: int) -> list[tuple[np.ndarray, np.ndarray]]:
 # ---------------------------------------------------------------------------
 # public operations
 
-#: Deepest layer list built so far, per (type, sign).
+#: Deepest layer list built so far, per (type, sign), oldest entry first.
 _layer_cache: dict[tuple[str, int], list[tuple[np.ndarray, np.ndarray]]] = {}
+
+
+def _cache_layers(key: tuple[str, int], layers: list) -> None:
+    """Store ``layers`` as the newest entry, evicting the oldest entries
+    until the keys cached over all entries fit in :data:`MAX_LIVE_KEYS`.
+
+    The new entry itself is never evicted: its build already kept within
+    the cap.
+    """
+    _layer_cache.pop(key, None)
+    _layer_cache[key] = layers
+    held = {k: sum(ks.size for ks, _ in v) for k, v in _layer_cache.items()}
+    total = sum(held.values())
+    for k in list(_layer_cache)[:-1]:
+        if total <= MAX_LIVE_KEYS:
+            break
+        total -= held[k]
+        del _layer_cache[k]
 
 
 def _root_matrix(rs: RootSystem, sign: int) -> np.ndarray:
@@ -257,10 +267,12 @@ def sum_keys(
     ``p > N / 2`` the layer is ``(sum of the signed roots) - layer N - p``,
     decoded, subtracted, reversed (which keeps it sorted) and re-encoded.
     The layer list of each (type, sign) is cached and rebuilt only when a
-    deeper layer is asked for.  A job with ``C(N, d) >= 2**63``, so that a
-    multiplicity could wrap, is refused with :class:`BudgetExceededError`
-    before anything is allocated; so is a build that would hold more than
-    :data:`MAX_LIVE_KEYS` keys, before the merge that would cross the cap.
+    deeper layer is asked for; the oldest entries are evicted so that the
+    cache holds at most :data:`MAX_LIVE_KEYS` keys.  A job with
+    ``C(N, d) >= 2**63``, so that a multiplicity could wrap, is refused with
+    :class:`BudgetExceededError` before anything is allocated; so is a build
+    that would hold more than :data:`MAX_LIVE_KEYS` keys, before the merge
+    that would cross the cap.
     A cached layer list is served without a second check.
     """
     n = rs.num_positive_roots
@@ -276,7 +288,7 @@ def sum_keys(
     layers = _layer_cache.get(key)
     if layers is None or len(layers) <= depth:
         layers = _layers(_root_matrix(rs, s), depth)
-        _layer_cache[key] = layers
+        _cache_layers(key, layers)
     if p == depth:
         return layers[p]
     keys, counts = layers[depth]

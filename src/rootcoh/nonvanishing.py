@@ -21,6 +21,8 @@ import json
 from dataclasses import dataclass
 from typing import Mapping
 
+import numpy as np
+
 from .exterior import lambda_p_weights
 from .rootsys import Root, RootSystem, Weight, SCHEMA
 from .weyl import BwbOutcome, bwb, pairing
@@ -195,16 +197,17 @@ class NonvanishingCertificate:
 
 
 def _check_filtration_order(records: tuple[ClassifiedWeight, ...]) -> None:
-    """No later weight may sit below an earlier one in the root order."""
-    for s in range(len(records)):
-        rc_s = records[s].source.root_coords
-        for t in range(s + 1, len(records)):
-            rc_t = records[t].source.root_coords
-            diff = tuple(a - b for a, b in zip(rc_s, rc_t))
-            if all(x >= 0 for x in diff):
-                raise CertificateError(
-                    f"ordering violated between positions {s} and {t}"
-                )
+    """No later weight may sit below an earlier one in the root order.
+
+    Raises on the first pair ``s < t`` (by ``s``, then ``t``) whose source
+    root coordinates satisfy ``rc_s >= rc_t`` entrywise.
+    """
+    rc = np.array([r.source.root_coords for r in records], dtype=np.int64)
+    below = (rc[:, None, :] >= rc[None, :, :]).all(axis=2)
+    bad = np.argwhere(np.triu(below, k=1))
+    if bad.size:
+        s, t = bad[0]
+        raise CertificateError(f"ordering violated between positions {s} and {t}")
 
 
 def build_certificate(rs: RootSystem) -> NonvanishingCertificate:

@@ -123,9 +123,6 @@ class Weight:
     def __neg__(self) -> "Weight":
         return Weight(tuple(-a for a in self.coords))
 
-    def scale(self, k: int) -> "Weight":
-        return Weight(tuple(k * a for a in self.coords))
-
     @property
     def is_dominant(self) -> bool:
         return all(c >= 0 for c in self.coords)
@@ -274,8 +271,12 @@ class RootSystem:
 
     def simple_weight_rows(self) -> tuple[tuple[int, ...], ...]:
         """weight_coords of each simple root, i.e. the columns of cartan."""
-        n = self.rank
-        return tuple(tuple(self.cartan[a][i] for a in range(n)) for i in range(n))
+        cached = self.__dict__.get("_simple_weight_rows_cache")
+        if cached is None:
+            n = self.rank
+            cached = tuple(tuple(self.cartan[a][i] for a in range(n)) for i in range(n))
+            self.__dict__["_simple_weight_rows_cache"] = cached
+        return cached
 
     def __str__(self) -> str:
         return str(self.simple_type)

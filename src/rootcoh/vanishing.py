@@ -21,6 +21,7 @@ import numpy as np
 
 from .exterior import MAX_LIVE_KEYS, decode_vectors, sum_keys
 from .rootsys import Root, RootSystem, Weight, SCHEMA
+from .weyl import pairings
 
 
 class VanishingError(ValueError):
@@ -137,16 +138,13 @@ def check_theorem1(rs: RootSystem, p: int, lam: Weight) -> VanishingReport:
     keys, _ = sum_keys(rs, p, "-")
     mu = decode_vectors(keys, rs.rank)
     lam_arr = np.array(lam.coords, dtype=np.int64)
-    coroots = np.array(
-        [r.coroot_coords for r in rs.positive_roots], dtype=np.int64
-    )
     status = np.full(mu.shape[0], STATUS_DOMINANT, dtype=np.int8)
     witness_idx = np.zeros(mu.shape[0], dtype=np.intp)
     rest = np.flatnonzero(~(mu >= -lam_arr).all(axis=1))
     block = max(1, MAX_LIVE_KEYS // rs.num_positive_roots)
     for start in range(0, rest.size, block):
         rows = rest[start : start + block]
-        zero = (mu[rows] + (lam_arr + 1)) @ coroots.T == 0
+        zero = pairings(rs, mu[rows] + (lam_arr + 1)) == 0
         status[rows] = np.where(zero.any(axis=1), STATUS_SINGULAR, STATUS_VIOLATION)
         witness_idx[rows] = np.argmax(zero, axis=1)
     violations = status == STATUS_VIOLATION

@@ -27,7 +27,7 @@ from .rootsys import (
     root_system,
 )
 from .vanishing import check_theorem1, corollary_bound, prop2_threshold
-from .weyl import bwb, degree_by_inversions
+from .weyl import bwb, pairings
 
 #: Types whose every degree p is checked against the full weight multiset of
 #: Lambda^p n- in criteria 4 and 5 (largest: F4, |Phi+| = 24).
@@ -276,11 +276,10 @@ def check_pairing_bound() -> CriterionResult:
     for name in BOUND_TYPES:
         rs = root_system(name)
         h = rs.coxeter_number
-        coroots = np.array([r.coroot_coords for r in rs.positive_roots], dtype=np.int64)
         attained = False
         for j in range(1, rs.num_positive_roots + 1):
             vecs, _ = sum_vectors(rs, j, "-")
-            pair = (vecs + 1) @ coroots.T
+            pair = pairings(rs, vecs + 1)
             top = int(np.abs(pair).max())
             if top > h - 1:
                 problems.append(f"{name} j={j}: bound {top} > {h - 1}")
@@ -411,39 +410,63 @@ def reflection_length(rs: RootSystem, m) -> int:
 
 
 def check_bwb_oracle(box: int = 6) -> CriterionResult:
-    """Criterion 9: regularization agrees with exhaustive Weyl-group search."""
+    """Criterion 9: regularization agrees with exhaustive Weyl-group search.
+
+    Every weight of the box ``[-box, box]^rank`` goes through :func:`bwb`.
+    The oracle side is batched per type on int64 arrays: for each of the
+    ``|W|`` matrices ``m`` (one at a time, so no ``|W|``-wide tensor is
+    built) the rows ``x = lam + rho`` with ``m x`` strictly dominant are
+    counted and the image recorded; one :func:`pairings` matrix gives the
+    coroot scan and the inversion count.  Per weight, the oracle and
+    ``bwb`` must agree on singular versus regular, with exactly one regular
+    image, degree ``l(w)``, dominant part ``w(x) - 1``, and degree equal to
+    the inversion count.
+    """
     t0 = time.perf_counter()
     problems = []
     total = 0
     for name in ORACLE_TYPES:
         rs = root_system(name)
         group = weyl_group_elements(rs)
-        lengths = {m: reflection_length(rs, m) for m in group}
-        for coords in itertools.product(range(-box, box + 1), repeat=rs.rank):
+        lengths = [reflection_length(rs, m) for m in group]
+        lams = np.array(
+            list(itertools.product(range(-box, box + 1), repeat=rs.rank)),
+            dtype=np.int64,
+        )
+        x = lams + 1
+        hits = np.zeros(len(x), dtype=np.int64)
+        which = np.zeros(len(x), dtype=np.intp)
+        image = np.zeros_like(x)
+        for k, m in enumerate(np.array(group, dtype=np.int64)):
+            img = x @ m.T
+            hit = (img > 0).all(axis=1)
+            hits += hit
+            which[hit] = k
+            image[hit] = img[hit]
+        pair = pairings(rs, x)
+        scan_singular = (pair == 0).any(axis=1).tolist()
+        inversions = (pair < 0).sum(axis=1).tolist()
+        hits, which, image = hits.tolist(), which.tolist(), image.tolist()
+        for row, coords in enumerate(lams.tolist()):
             total += 1
-            lam = Weight(coords)
+            lam = Weight(tuple(coords))
             got = bwb(rs, lam)
-            x = tuple(c + 1 for c in coords)
-            hits = [m for m in group if all(c > 0 for c in _apply(m, x))]
-            if not hits:
+            if not hits[row]:
                 if not got.is_singular:
                     problems.append(f"{name} {lam}: oracle singular, bwb {got.kind}")
+            elif hits[row] != 1:
+                problems.append(f"{name} {lam}: {hits[row]} regular images")
+                continue
+            elif got.is_singular:
+                problems.append(f"{name} {lam}: oracle regular, bwb singular")
+                continue
             else:
-                if len(hits) != 1:
-                    problems.append(f"{name} {lam}: {len(hits)} regular images")
-                    continue
-                if got.is_singular:
-                    problems.append(f"{name} {lam}: oracle regular, bwb singular")
-                    continue
-                w = hits[0]
-                if got.degree != lengths[w]:
-                    problems.append(
-                        f"{name} {lam}: degree {got.degree} != l(w) {lengths[w]}"
-                    )
-                dom = Weight(tuple(c - 1 for c in _apply(w, x)))
-                if got.dominant != dom:
+                length = lengths[which[row]]
+                if got.degree != length:
+                    problems.append(f"{name} {lam}: degree {got.degree} != l(w) {length}")
+                if got.dominant != Weight(tuple(c - 1 for c in image[row])):
                     problems.append(f"{name} {lam}: dominant part mismatch")
-                if got.degree != degree_by_inversions(rs, lam):
+                if scan_singular[row] or got.degree != inversions[row]:
                     problems.append(f"{name} {lam}: inversion count mismatch")
             if problems:
                 break

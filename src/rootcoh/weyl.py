@@ -5,6 +5,12 @@ finds a zero coordinate (the weight is singular and all cohomology of the
 line bundle vanishes) or applies simple reflections at negative coordinates
 until ``x`` is strictly dominant.  The number of reflections applied is the
 unique cohomology degree in which the line bundle has sections.
+
+:func:`pairings` is the one batched primitive: it pairs many weights with
+every positive coroot in a single int64 matrix product, refusing inputs
+whose products could leave int64.  From one pairing matrix a row is
+singular iff it holds a 0, and its degree is the number of negative entries
+(the inversion count).
 """
 
 from __future__ import annotations
@@ -13,6 +19,8 @@ import json
 from dataclasses import dataclass
 from math import prod
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .rootsys import Root, RootSystem, Weight, SCHEMA
 
@@ -85,6 +93,36 @@ def pairing(rs: RootSystem, mu: Weight | Sequence[int], gamma: Root) -> int:
     return sum(c * x for c, x in zip(gamma.coroot_coords, coords))
 
 
+def _coroot_matrix(rs: RootSystem) -> tuple[np.ndarray, int]:
+    """Coroot coordinates in canonical root order, and their largest row
+    sum of absolute values; cached on ``rs``."""
+    cached = rs.__dict__.get("_coroot_matrix_cache")
+    if cached is None:
+        mat = np.array([r.coroot_coords for r in rs.positive_roots], dtype=np.int64)
+        mat.flags.writeable = False
+        cached = (mat, int(np.abs(mat).sum(axis=1).max()))
+        rs.__dict__["_coroot_matrix_cache"] = cached
+    return cached
+
+
+def pairings(rs: RootSystem, X) -> np.ndarray:
+    """All pairings (x, gamma^v): the int64 matrix ``X @ C.T``.
+
+    Row i of the result pairs row i of ``X`` with every positive coroot, in
+    canonical root order.  Raises :class:`WeylError` before the product when
+    ``max|X|`` times the largest absolute row sum of ``C`` could leave int64.
+    """
+    X = np.asarray(X)
+    if X.ndim != 2 or X.shape[1] != rs.rank:
+        raise WeylError(f"pairings need rows of {rs.rank} coordinates, got shape {X.shape}")
+    mat, row_sum = _coroot_matrix(rs)
+    if X.size:
+        top = max(int(X.max()), -int(X.min()))
+        if top * row_sum >= 2**63:
+            raise WeylError(f"pairings of entries up to {top} could overflow int64")
+    return X.astype(np.int64, copy=False) @ mat.T
+
+
 def dot_reflect(rs: RootSystem, i: int, mu: Weight) -> Weight:
     """Dot action of the i-th simple reflection: s_i . mu = s_i(mu + rho) - rho."""
     if not 0 <= i < rs.rank:
@@ -92,6 +130,15 @@ def dot_reflect(rs: RootSystem, i: int, mu: Weight) -> Weight:
     row = rs.simple_weight_rows()[i]
     c = mu.coords[i] + 1
     return Weight(tuple(m - c * r for m, r in zip(mu.coords, row)))
+
+
+def _rho_denominator(rs: RootSystem) -> int:
+    """prod over positive roots of (rho, gamma^v); cached on ``rs``."""
+    cached = rs.__dict__.get("_rho_denominator_cache")
+    if cached is None:
+        cached = prod(sum(r.coroot_coords) for r in rs.positive_roots)
+        rs.__dict__["_rho_denominator_cache"] = cached
+    return cached
 
 
 def weyl_dim(rs: RootSystem, lam: Weight) -> int:
@@ -108,7 +155,7 @@ def weyl_dim(rs: RootSystem, lam: Weight) -> int:
         raise WeylError(f"weyl_dim needs a dominant weight, got {lam}")
     xp = tuple(c + 1 for c in lam.coords)
     num = prod(sum(c * x for c, x in zip(r.coroot_coords, xp)) for r in rs.positive_roots)
-    den = prod(sum(r.coroot_coords) for r in rs.positive_roots)
+    den = _rho_denominator(rs)
     q, rem = divmod(num, den)
     if rem:
         raise WeylError(f"dimension product for {lam} is not divisible by {den}")
@@ -149,17 +196,6 @@ def bwb(
         x = [a - c * r for a, r in zip(x, row)]
         steps += 1
     raise WeylError(f"regularization of {lam} did not terminate in {limit} steps")
-
-
-def is_singular(rs: RootSystem, mu_plus_rho: Weight | Sequence[int]) -> bool:
-    """Scan all positive coroots for a vanishing pairing (oracle-style check)."""
-    coords = (
-        mu_plus_rho.coords if isinstance(mu_plus_rho, Weight) else tuple(mu_plus_rho)
-    )
-    for r in rs.positive_roots:
-        if sum(c * x for c, x in zip(r.coroot_coords, coords)) == 0:
-            return True
-    return False
 
 
 def degree_by_inversions(rs: RootSystem, lam: Weight) -> int | None:

@@ -1,7 +1,12 @@
-"""The nine acceptance checks, one test each, with a pass/fail line printed."""
+"""The nine acceptance checks, one test each, and mutations criterion 9 must catch."""
+
+import dataclasses
 
 import pytest
 
+from rootcoh import verify
+from rootcoh.rootsys import Weight
+from rootcoh.weyl import BwbOutcome
 from rootcoh.verify import (
     check_appendix_tables,
     check_bwb_oracle,
@@ -42,3 +47,32 @@ def test_criterion(results, number):
     res = results[number]
     print(res.line)
     assert res.ok, res.line
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (
+            lambda out: dataclasses.replace(out, degree=out.degree + 1),
+            "degree 10 != l(w) 9",
+        ),
+        (lambda out: BwbOutcome.singular(), "oracle regular, bwb singular"),
+        (
+            lambda out: dataclasses.replace(out, dominant=Weight.of(4, 4, 5)),
+            "dominant part mismatch",
+        ),
+    ],
+)
+def test_criterion9_catches_a_corrupted_outcome(monkeypatch, corrupt, message):
+    # bwb(B3, (-6,-6,-6)) is degree 9 with dominant part (4,4,4)
+    target = Weight.of(-6, -6, -6)
+    honest = verify.bwb
+
+    def corrupted(rs, lam, *args):
+        out = honest(rs, lam, *args)
+        return corrupt(out) if str(rs.simple_type) == "B3" and lam == target else out
+
+    monkeypatch.setattr(verify, "bwb", corrupted)
+    res = check_bwb_oracle()
+    assert not res.ok
+    assert res.detail.startswith(f"B3 {target}: {message}")

@@ -215,6 +215,28 @@ def test_budget_refusal(monkeypatch):
     assert phi_sums(g2, 1, "-").total == 6
 
 
+def test_layer_cache_evicts_oldest_entries_past_the_cap(monkeypatch):
+    monkeypatch.setattr(exterior, "_layer_cache", {})
+    monkeypatch.setattr(exterior, "MAX_LIVE_KEYS", 40)
+
+    def cached():
+        return {k: sum(ks.size for ks, _ in v) for k, v in exterior._layer_cache.items()}
+
+    a2, b2, g2 = root_system("A2"), root_system("B2"), root_system("G2")
+    sum_keys(a2, 1, "-")
+    sum_keys(b2, 2, "-")
+    assert cached() == {("A2", -1): 4, ("B2", -1): 11}
+    keys, counts = sum_keys(g2, 3, "-")  # 35 keys: both older entries go
+    assert cached() == {("G2", -1): 35}
+    sum_keys(a2, 1, "-")
+    assert cached() == {("G2", -1): 35, ("A2", -1): 4}
+    sum_keys(g2, 1, "+")  # 7 more keys: the oldest entry, G2 '-', goes
+    assert cached() == {("A2", -1): 4, ("G2", 1): 7}
+    again = sum_keys(g2, 3, "-")  # rebuilt after eviction, bit for bit
+    assert np.array_equal(again[0], keys) and np.array_equal(again[1], counts)
+    assert list(cached()) == [("G2", -1)]
+
+
 def test_largest_job_of_the_old_subset_budget_runs(monkeypatch):
     # A8 at p = 9 held the most keys among all jobs with C(N, p) <= 10**8
     monkeypatch.setattr(exterior, "_layer_cache", {})

@@ -13,7 +13,11 @@ from rootcoh import (
     theorem12_lambda,
     weyl_dim,
 )
-from rootcoh.nonvanishing import CertificateError, _beta_indices
+from rootcoh.nonvanishing import (
+    CertificateError,
+    _beta_indices,
+    _check_filtration_order,
+)
 from rootcoh.rootsys import Weight, all_simple_types
 from rootcoh.weyl import bwb
 
@@ -194,3 +198,12 @@ def test_g2_page_at_witness_weight():
     page = e1_page(g2, 5, theorem12_lambda(g2))
     assert page.buckets == {0: 8, 1: 9}
     assert page.euler == -1
+
+
+def test_filtration_order_rejects_reversed_records():
+    for name in ("A2", "B3", "G2", "E6"):
+        rs = root_system(name)
+        records = tuple(classify_lemma11(rs, theorem12_lambda(rs)))
+        _check_filtration_order(records)
+        with pytest.raises(CertificateError, match="between positions 0 and 1"):
+            _check_filtration_order(tuple(reversed(records)))

@@ -2,13 +2,15 @@
 
 import itertools
 import random
+from math import prod
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rootcoh import bwb, dot_reflect, pairing, root_system, weyl_dim
-from rootcoh.rootsys import Weight
-from rootcoh.weyl import BwbOutcome, WeylError, degree_by_inversions, is_singular
+from rootcoh import bwb, dot_reflect, pairing, pairings, root_system, weyl_dim
+from rootcoh.rootsys import Weight, rs_from_json, rs_to_json
+from rootcoh.weyl import BwbOutcome, WeylError, _rho_denominator, degree_by_inversions
 
 SMALL_TYPES = ("A1", "A2", "A3", "B2", "C2", "B3", "C3", "G2")
 
@@ -86,10 +88,52 @@ def test_bwb_minus_simple_root():
 def test_bwb_singular_iff_coroot_scan():
     for name in ("A2", "B2", "G2"):
         rs = root_system(name)
-        for coords in itertools.product(range(-6, 7), repeat=rs.rank):
-            lam = Weight(coords)
-            scan = is_singular(rs, tuple(c + 1 for c in coords))
-            assert bwb(rs, lam).is_singular == scan
+        box = list(itertools.product(range(-6, 7), repeat=rs.rank))
+        scan = (pairings(rs, np.array(box) + 1) == 0).any(axis=1)
+        for coords, singular in zip(box, scan):
+            assert bwb(rs, Weight(coords)).is_singular == singular
+
+
+def test_pairings_match_pairing():
+    rng = random.Random(11)
+    for name in ("A1", "A3", "B4", "C3", "D5", "E6", "F4", "G2"):
+        rs = root_system(name)
+        X = [[rng.randint(-50, 50) for _ in range(rs.rank)] for _ in range(20)]
+        got = pairings(rs, X)
+        assert got.dtype == np.int64
+        assert got.tolist() == [
+            [pairing(rs, x, r) for r in rs.positive_roots] for x in X
+        ]
+
+
+def test_pairings_refuse_overflow():
+    g2 = root_system("G2")  # largest absolute coroot row sum: 3 + 2 = 5
+    assert pairings(g2, [[2**60, 0]]).max() == 3 * 2**60
+    with pytest.raises(WeylError, match="overflow"):
+        pairings(g2, np.array([[2**61, 0]], dtype=np.int64))
+    with pytest.raises(WeylError, match="overflow"):
+        pairings(g2, np.array([[0, -(2**63)]], dtype=np.int64))
+    with pytest.raises(WeylError, match="overflow"):
+        pairings(g2, [[2**70, 1]])
+    with pytest.raises(WeylError):
+        pairings(g2, [[1, 2, 3]])
+
+
+def test_cached_tables_survive_a_json_round_trip():
+    for name in ("A3", "B3", "G2", "E6"):
+        rs = root_system(name)
+        rebuilt = rs_from_json(rs_to_json(rs))
+        assert rebuilt is not rs
+        assert rebuilt.simple_weight_rows() == rs.simple_weight_rows()
+        assert rebuilt.simple_weight_rows() is rebuilt.simple_weight_rows()
+        n = rs.rank
+        assert rs.simple_weight_rows() == tuple(
+            tuple(rs.cartan[a][i] for a in range(n)) for i in range(n)
+        )
+        assert _rho_denominator(rebuilt) == _rho_denominator(rs)
+        rho_pairings = [pairing(rs, rs.rho, r) for r in rs.positive_roots]
+        assert _rho_denominator(rs) == prod(rho_pairings)
+        assert weyl_dim(rebuilt, rs.rho) == weyl_dim(rs, rs.rho) == 2**rs.num_positive_roots
 
 
 def test_bwb_degree_matches_inversion_count():
