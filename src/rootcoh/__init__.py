@@ -10,8 +10,6 @@ bundle in every rank >= 2 type.
 """
 
 from .rootsys import (
-    ColumnStats,
-    PositiveRootsMatrix,
     Root,
     RootSystem,
     RootSystemError,
@@ -19,19 +17,19 @@ from .rootsys import (
     Weight,
     all_simple_types,
     build_root_system,
-    positive_roots_matrix,
+    column_classes,
+    column_stats,
     root_system,
     rs_from_json,
     rs_to_json,
     to_weight_coords,
 )
-from .weyl import BwbOutcome, WeylError, bwb, dot_reflect, pairing, pairings, weyl_dim
+from .weyl import BwbOutcome, WeylError, bwb, pairing, pairings, weyl_dim
 from .exterior import (
     BudgetExceededError,
     ExteriorError,
     WeightMultiset,
     lambda_p_weights,
-    max_column_profile,
     phi_sums,
 )
 from .vanishing import (
@@ -55,11 +53,9 @@ __all__ = [
     "BudgetExceededError",
     "BwbOutcome",
     "CertificateError",
-    "ColumnStats",
     "E1Page",
     "ExteriorError",
     "NonvanishingCertificate",
-    "PositiveRootsMatrix",
     "Root",
     "RootSystem",
     "RootSystemError",
@@ -75,15 +71,14 @@ __all__ = [
     "bwb",
     "check_theorem1",
     "classify_lemma11",
+    "column_classes",
+    "column_stats",
     "corollary_bound",
-    "dot_reflect",
     "e1_page",
     "lambda_p_weights",
-    "max_column_profile",
     "pairing",
     "pairings",
     "phi_sums",
-    "positive_roots_matrix",
     "prop2_threshold",
     "root_system",
     "rs_from_json",

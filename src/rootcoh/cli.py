@@ -21,7 +21,7 @@ from .rootsys import (
     RootSystem,
     RootSystemError,
     Weight,
-    positive_roots_matrix,
+    column_classes,
     root_system,
     rs_to_json_dict,
     SCHEMA,
@@ -85,13 +85,12 @@ def _cmd_coxeter(args) -> int:
                 "type": str(rs.simple_type),
                 "h": h,
                 "h_per_root": list(per),
-                "column_classes": list(positive_roots_matrix(rs).column_classes),
+                "column_classes": list(column_classes(rs)),
             }
         )
         return 0
     print(f"{rs.simple_type}: h = {h}")
-    classes = positive_roots_matrix(rs).column_classes
-    for i, (v, cls) in enumerate(zip(per, classes), start=1):
+    for i, (v, cls) in enumerate(zip(per, column_classes(rs)), start=1):
         print(f"  h_alpha_{i} = {v:3d}  ({cls})")
     return 0
 

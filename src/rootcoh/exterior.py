@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .rootsys import RootSystem, Weight
+from .rootsys import SCHEMA, RootSystem, Weight
 
 #: Most keys the expansion may hold at once, over all its layers together
 #: with the shifted layer being merged in.  Of the rank <= 8 jobs with at most
@@ -63,16 +63,10 @@ class WeightMultiset:
         return sum(m for _, m in self.entries)
 
     def translate(self, lam: Weight) -> "WeightMultiset":
-        moved = sorted(((w + lam, m) for w, m in self.entries), key=lambda e: e[0].coords)
-        return WeightMultiset(p=self.p, entries=tuple(moved))
-
-    def negate(self) -> "WeightMultiset":
-        flipped = sorted(((-w, m) for w, m in self.entries), key=lambda e: e[0].coords)
-        return WeightMultiset(p=self.p, entries=tuple(flipped))
+        """Add lam to every weight; a translation keeps lexicographic order."""
+        return WeightMultiset(self.p, tuple((w + lam, m) for w, m in self.entries))
 
     def to_json_dict(self) -> dict:
-        from .rootsys import SCHEMA
-
         return {
             "schema": SCHEMA,
             "kind": "weight_multiset",
@@ -82,16 +76,6 @@ class WeightMultiset:
                 {"weight": list(w.coords), "mult": str(m)} for w, m in self.entries
             ],
         }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "WeightMultiset":
-        if doc.get("kind") != "weight_multiset":
-            raise ExteriorError("not a weight_multiset document")
-        entries = tuple(
-            (Weight(tuple(int(c) for c in e["weight"])), int(e["mult"]))
-            for e in doc["entries"]
-        )
-        return cls(p=int(doc["p"]), entries=entries)
 
 
 # ---------------------------------------------------------------------------
@@ -249,17 +233,15 @@ def _root_matrix(rs: RootSystem, sign: int) -> np.ndarray:
     return mat if sign > 0 else -mat
 
 
-def _signed(sign: str | int) -> int:
-    if sign in ("+", 1):
+def _signed(sign: str) -> int:
+    if sign == "+":
         return 1
-    if sign in ("-", -1):
+    if sign == "-":
         return -1
     raise ExteriorError(f"sign must be '+' or '-', got {sign!r}")
 
 
-def sum_keys(
-    rs: RootSystem, p: int, sign: str | int = "-"
-) -> tuple[np.ndarray, np.ndarray]:
+def sum_keys(rs: RootSystem, p: int, sign: str = "-") -> tuple[np.ndarray, np.ndarray]:
     """Encoded (keys, multiplicities) of all sums of p distinct roots.
 
     Keys are sorted ascending, which is lexicographic order of the weights.
@@ -297,15 +279,13 @@ def sum_keys(
     return encode_vectors(vecs[::-1], rs.rank), counts[::-1].copy()
 
 
-def sum_vectors(
-    rs: RootSystem, p: int, sign: str | int = "-"
-) -> tuple[np.ndarray, np.ndarray]:
+def sum_vectors(rs: RootSystem, p: int, sign: str = "-") -> tuple[np.ndarray, np.ndarray]:
     """Decoded (vectors, multiplicities), rows sorted lexicographically."""
     keys, counts = sum_keys(rs, p, sign)
     return decode_vectors(keys, rs.rank), counts
 
 
-def phi_sums(rs: RootSystem, p: int, sign: str | int = "-") -> WeightMultiset:
+def phi_sums(rs: RootSystem, p: int, sign: str = "-") -> WeightMultiset:
     """The multiset of sums of p distinct positive (or negative) roots."""
     vecs, counts = sum_vectors(rs, p, sign)
     entries = tuple(
@@ -322,24 +302,14 @@ def lambda_p_weights(rs: RootSystem, p: int, lam: Weight) -> WeightMultiset:
     return phi_sums(rs, p, "-").translate(lam)
 
 
-def max_column_profile(rs: RootSystem, p: int) -> tuple[int, ...]:
+def greedy_column_profile(rs: RootSystem, p: int) -> tuple[int, ...]:
     """Per-column maxima of the pairings over all sums of p distinct positive roots.
 
     Coordinate i of the result is the largest value of (mu, alpha_i^v) as mu
-    ranges over the support of the degree-p sums; subtracting 1 yields the
-    dominance threshold that forces every translated weight to sit at
-    pairing >= -1.
-    """
-    vecs, _ = sum_vectors(rs, p, "+")
-    return tuple(int(v) for v in vecs.max(axis=0))
-
-
-def greedy_column_profile(rs: RootSystem, p: int) -> tuple[int, ...]:
-    """Column maxima computed without enumeration: sum of the p largest entries.
-
-    The subset achieving the maximum of one column is simply the p rows with
-    the largest entries there, so sorted prefix sums give the same numbers as
-    the enumeration route; the two are cross-checked in the test suite.
+    ranges over the degree-p sums.  The subset attaining it is the p roots
+    with the largest entries in column i, so it is the sum of those entries
+    and needs no enumeration.  The tests compare :func:`prop2_threshold
+    <rootcoh.vanishing.prop2_threshold>` with these maxima less 1.
     """
     n = rs.num_positive_roots
     if not 0 <= p <= n:

@@ -17,7 +17,6 @@ conclusion is standard bookkeeping and is not re-derived.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -71,32 +70,17 @@ class ClassifiedWeight:
     outcome: BwbOutcome
 
 
-def _recover_beta(rs: RootSystem, lam: Weight) -> tuple[int, int]:
-    """Find adjacent simple indices (i, j) with lam = 2*rho - alpha_i - alpha_j."""
-    two_rho = Weight((2,) * rs.rank)
-    beta_w = two_rho - lam
-    rows = rs.simple_weight_rows()
-    for i in range(rs.rank):
-        for j in range(i + 1, rs.rank):
-            if rs.cartan[i][j] == 0:
-                continue
-            summed = tuple(a + b for a, b in zip(rows[i], rows[j]))
-            if summed == beta_w.coords:
-                return (i, j)
-    raise CertificateError(
-        f"lambda = {lam} is not 2*rho minus two adjacent simple roots"
-    )
-
-
-def classify_lemma11(rs: RootSystem, lam: Weight) -> list[ClassifiedWeight]:
+def classify_lemma11(rs: RootSystem) -> list[ClassifiedWeight]:
     """Classify the weights alpha - beta, alpha running over the positive roots.
 
-    Each weight is exceptional (one of -beta2, -beta1, 0), or singular with an
-    explicit witness from the triple {beta1, beta2, beta1 + beta2}, or, for G2
-    only, one of the two extra regular weights.  Any other outcome falsifies
-    the classification and raises, naming the offending root.
+    ``beta = beta1 + beta2`` is the pair of simple roots that
+    :func:`theorem12_lambda` subtracts from 2*rho.  Each weight is
+    exceptional (one of -beta2, -beta1, 0), or singular with an explicit
+    witness from the triple {beta1, beta2, beta1 + beta2}, or, for G2 only,
+    one of the two extra regular weights.  Any other outcome falsifies the
+    classification and raises, naming the offending root.
     """
-    i, j = _recover_beta(rs, lam)
+    i, j = _beta_indices(rs)
     b1 = rs.simple_root(i)
     b2 = rs.simple_root(j)
     beta_sum_rc = tuple(
@@ -192,9 +176,6 @@ class NonvanishingCertificate:
             ],
         }
 
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
-
 
 def _check_filtration_order(records: tuple[ClassifiedWeight, ...]) -> None:
     """No later weight may sit below an earlier one in the root order.
@@ -226,7 +207,7 @@ def build_certificate(rs: RootSystem) -> NonvanishingCertificate:
     lam = theorem12_lambda(rs)
     i, j = _beta_indices(rs)
     try:
-        records = tuple(classify_lemma11(rs, lam))
+        records = tuple(classify_lemma11(rs))
         _check_filtration_order(records)
         b1 = rs.simple_root(i)
         b2 = rs.simple_root(j)
@@ -314,9 +295,6 @@ class E1Page:
             "euler": str(self.euler),
             "concentrated": self.concentrated,
         }
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
 
 
 def e1_page(rs: RootSystem, p: int, lam: Weight) -> E1Page:

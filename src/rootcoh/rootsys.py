@@ -23,8 +23,11 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from functools import cached_property, lru_cache
+from math import prod
+from typing import Iterator, Sequence
+
+import numpy as np
 
 SCHEMA = "rootcoh/1"
 
@@ -218,7 +221,8 @@ class RootSystem:
 
     ``positive_roots`` is ordered by ascending height with lexicographic
     root-coordinate tiebreak; every derived table in this package inherits
-    that order.
+    that order.  The derived tables below are built on first use and cached
+    on the instance.
     """
 
     simple_type: SimpleType
@@ -243,40 +247,46 @@ class RootSystem:
 
     def simple_root(self, i: int) -> Root:
         """The i-th simple root (0-based)."""
-        return self.positive_roots[self._simple_indices()[i]]
+        return self.positive_roots[self._simple_indices[i]]
 
+    @cached_property
     def _simple_indices(self) -> tuple[int, ...]:
-        idx = []
-        for i in range(self.rank):
-            unit = tuple(1 if k == i else 0 for k in range(self.rank))
-            idx.append(self.index_of(unit))
-        return tuple(idx)
+        return tuple(
+            self.index_of(tuple(1 if k == i else 0 for k in range(self.rank)))
+            for i in range(self.rank)
+        )
 
     def index_of(self, root_coords: Sequence[int]) -> int:
-        return self._root_index()[tuple(root_coords)]
+        return self._root_index[tuple(root_coords)]
 
     def root_by_coords(self, root_coords: Sequence[int]) -> Root:
         return self.positive_roots[self.index_of(root_coords)]
 
+    @cached_property
     def _root_index(self) -> dict[tuple[int, ...], int]:
-        cached = self.__dict__.get("_root_index_cache")
-        if cached is None:
-            cached = {r.root_coords: k for k, r in enumerate(self.positive_roots)}
-            self.__dict__["_root_index_cache"] = cached
-        return cached
+        return {r.root_coords: k for k, r in enumerate(self.positive_roots)}
 
     @property
     def highest_root(self) -> Root:
         return self.positive_roots[-1]
 
+    @cached_property
     def simple_weight_rows(self) -> tuple[tuple[int, ...], ...]:
         """weight_coords of each simple root, i.e. the columns of cartan."""
-        cached = self.__dict__.get("_simple_weight_rows_cache")
-        if cached is None:
-            n = self.rank
-            cached = tuple(tuple(self.cartan[a][i] for a in range(n)) for i in range(n))
-            self.__dict__["_simple_weight_rows_cache"] = cached
-        return cached
+        n = self.rank
+        return tuple(tuple(self.cartan[a][i] for a in range(n)) for i in range(n))
+
+    @cached_property
+    def coroot_matrix(self) -> np.ndarray:
+        """Coroot coordinates in canonical root order, as a read-only int64 array."""
+        mat = np.array([r.coroot_coords for r in self.positive_roots], dtype=np.int64)
+        mat.flags.writeable = False
+        return mat
+
+    @cached_property
+    def rho_denominator(self) -> int:
+        """prod over positive roots of (rho, gamma^v)."""
+        return prod(sum(r.coroot_coords) for r in self.positive_roots)
 
     def __str__(self) -> str:
         return str(self.simple_type)
@@ -398,74 +408,27 @@ def root_system(name: str | SimpleType) -> RootSystem:
     return build_root_system(t)
 
 
+#: The values a weight-row entry can take, in the order column_stats counts them.
 _STAT_VALUES = (0, 1, 2, 3, -1, -2, -3)
 
 
-@dataclass(frozen=True)
-class ColumnStats:
-    """Value counts for one column of the positive-roots matrix."""
-
-    zeros: int
-    ones: int
-    twos: int
-    threes: int
-    minus_ones: int
-    minus_twos: int
-    minus_threes: int
-
-    def as_tuple(self) -> tuple[int, ...]:
-        return (
-            self.zeros,
-            self.ones,
-            self.twos,
-            self.threes,
-            self.minus_ones,
-            self.minus_twos,
-            self.minus_threes,
-        )
-
-    @property
-    def total(self) -> int:
-        return sum(self.as_tuple())
-
-
-@dataclass(frozen=True)
-class PositiveRootsMatrix:
-    """Weight rows of all positive roots plus per-column summaries."""
-
-    matrix: tuple[tuple[int, ...], ...]
-    column_stats: tuple[ColumnStats, ...]
-    column_classes: tuple[str, ...]
-
-
-def positive_roots_matrix(rs: RootSystem) -> PositiveRootsMatrix:
-    """The matrix of weight rows in canonical order with column statistics."""
-    n = rs.rank
-    rows = tuple(r.weight.coords for r in rs.positive_roots)
-    stats = []
-    for i in range(n):
-        counts = {v: 0 for v in _STAT_VALUES}
-        for row in rows:
-            v = row[i]
-            if v not in counts:
+def column_stats(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
+    """Per column of the weight rows of all positive roots, in canonical
+    order, the counts of the values 0, 1, 2, 3, -1, -2, -3."""
+    out = []
+    for i in range(rs.rank):
+        col = [r.weight.coords[i] for r in rs.positive_roots]
+        for v in col:
+            if v not in _STAT_VALUES:
                 raise RootSystemError(f"entry {v} outside the expected value range")
-            counts[v] += 1
-        stats.append(
-            ColumnStats(
-                zeros=counts[0],
-                ones=counts[1],
-                twos=counts[2],
-                threes=counts[3],
-                minus_ones=counts[-1],
-                minus_twos=counts[-2],
-                minus_threes=counts[-3],
-            )
-        )
+        out.append(tuple(col.count(v) for v in _STAT_VALUES))
+    return tuple(out)
+
+
+def column_classes(rs: RootSystem) -> tuple[str, ...]:
+    """'short' or 'long' for each simple root."""
     shortest = min(rs.half_norms)
-    classes = tuple("short" if hn == shortest else "long" for hn in rs.half_norms)
-    return PositiveRootsMatrix(
-        matrix=rows, column_stats=tuple(stats), column_classes=classes
-    )
+    return tuple("short" if hn == shortest else "long" for hn in rs.half_norms)
 
 
 def rs_to_json_dict(rs: RootSystem) -> dict:

@@ -13,7 +13,6 @@ bounds h_alpha - 1 and h - 1.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -117,24 +116,23 @@ class VanishingReport:
             ]
         return doc
 
-    def to_json(self, include_witnesses: bool = False, indent: int | None = None) -> str:
-        return json.dumps(self.to_json_dict(include_witnesses), indent=indent)
-
 
 def check_theorem1(rs: RootSystem, p: int, lam: Weight) -> VanishingReport:
     """Classify every mu in the degree-p support against lam.
 
-    Requires lam dominant.  Witness roots are the first positive root in
-    canonical order with vanishing pairing; the first violation is the
-    lexicographically smallest violating mu.  Only the non-dominant rows are
-    paired with the coroots, in blocks of at most ``MAX_LIVE_KEYS // N``
-    rows, so no pairing block holds more entries than the exterior engine
-    may hold keys.
+    Requires lam dominant, with coordinates below ``2**63``.  Witness roots
+    are the first positive root in canonical order with vanishing pairing;
+    the first violation is the lexicographically smallest violating mu.
+    Only the non-dominant rows are paired with the coroots, in blocks of at
+    most ``MAX_LIVE_KEYS // N`` rows, so no pairing block holds more entries
+    than the exterior engine may hold keys.
     """
     if len(lam.coords) != rs.rank:
         raise VanishingError(f"lambda has {len(lam.coords)} coordinates")
     if not lam.is_dominant:
         raise VanishingError(f"lambda must be dominant, got {lam}")
+    if max(lam.coords) >= 2**63:
+        raise VanishingError(f"lambda coordinates must be below 2**63, got {lam}")
     keys, _ = sum_keys(rs, p, "-")
     mu = decode_vectors(keys, rs.rank)
     lam_arr = np.array(lam.coords, dtype=np.int64)

@@ -17,13 +17,13 @@ from pathlib import Path
 import numpy as np
 
 from .exterior import sum_vectors
-from .nonvanishing import build_certificate, e1_page, theorem12_lambda
+from .nonvanishing import build_certificate, e1_page
 from .rootsys import (
     RootSystem,
     SimpleType,
     Weight,
     all_simple_types,
-    positive_roots_matrix,
+    column_stats,
     root_system,
 )
 from .vanishing import check_theorem1, corollary_bound, prop2_threshold
@@ -40,6 +40,9 @@ BOUND_TYPES = ("A1", "A2", "A3", "B2", "B3", "C3", "G2")
 
 #: Types for the dominance-regularization oracle (|W| <= 48).
 ORACLE_TYPES = ("A1", "A2", "A3", "B2", "C2", "B3", "C3", "G2")
+
+#: The oracle checks every weight of the box [-ORACLE_BOX, ORACLE_BOX]^rank.
+ORACLE_BOX = 6
 
 #: Types for the rho top-degree check.
 RHO_TYPES = ("A3", "B2", "B3", "C3", "G2", "F4")
@@ -213,12 +216,11 @@ def check_column_statistics() -> CriterionResult:
     types = column_stats_types()
     for t in types:
         rs = root_system(t)
-        prm = positive_roots_matrix(rs)
         expected = _expected_column_stats(t)
-        for i, stats in enumerate(prm.column_stats):
-            if stats.as_tuple() != expected[i]:
-                problems.append(f"{t} column {i}: {stats.as_tuple()} != {expected[i]}")
-            if stats.total != rs.num_positive_roots:
+        for i, stats in enumerate(column_stats(rs)):
+            if stats != expected[i]:
+                problems.append(f"{t} column {i}: {stats} != {expected[i]}")
+            if sum(stats) != rs.num_positive_roots:
                 problems.append(f"{t} column {i}: counts do not sum to |Phi+|")
     detail = f"{len(types)} types, all columns match"
     if problems:
@@ -312,20 +314,16 @@ def check_certificates() -> CriterionResult:
         worst = max(worst, time.perf_counter() - t1)
         if not cert.valid:
             problems.append(f"{t}: {cert.failure}")
-    a2 = root_system("A2")
-    cert = build_certificate(a2)
-    lam = theorem12_lambda(a2)
-    if lam != a2.rho or cert.lam != a2.rho:
+        if str(t) == "A2":
+            a2 = cert
+    if a2.lam != root_system("A2").rho:
         problems.append("A2 witness weight is not rho")
-    exc = cert.exceptional
-    exc_weights = {r.mu.coords for r in exc}
+    exc_weights = {r.mu.coords for r in a2.exceptional}
     want = {(1, -2), (-2, 1), (0, 0)}
     if exc_weights != want:
         problems.append(f"A2 exceptional set {exc_weights} != {want}")
-    degs = [r.outcome.degree for r in cert.records if not r.outcome.is_singular]
-    if degs != [1, 1, 0] or any(
-        r.outcome.dim != 1 for r in cert.records if not r.outcome.is_singular
-    ):
+    degs = [r.outcome.degree for r in a2.exceptional]
+    if degs != [1, 1, 0] or any(r.outcome.dim != 1 for r in a2.exceptional):
         problems.append(f"A2 pattern wrong: degrees {degs}")
     if worst > 1.0:
         problems.append(f"slowest certificate took {worst:.2f}s (limit 1s)")
@@ -369,7 +367,7 @@ def check_rho_top_degree() -> CriterionResult:
 def weyl_group_elements(rs: RootSystem) -> list[tuple[tuple[int, ...], ...]]:
     """All Weyl group elements as matrices on weight coordinates."""
     n = rs.rank
-    rows = rs.simple_weight_rows()
+    rows = rs.simple_weight_rows
     gens = []
     for i in range(n):
         m = tuple(
@@ -409,15 +407,15 @@ def reflection_length(rs: RootSystem, m) -> int:
     return sum(1 for r in rs.positive_roots if _apply(m, r.weight.coords) in negs)
 
 
-def check_bwb_oracle(box: int = 6) -> CriterionResult:
+def check_bwb_oracle() -> CriterionResult:
     """Criterion 9: regularization agrees with exhaustive Weyl-group search.
 
-    Every weight of the box ``[-box, box]^rank`` goes through :func:`bwb`.
-    The oracle side is batched per type on int64 arrays: for each of the
-    ``|W|`` matrices ``m`` (one at a time, so no ``|W|``-wide tensor is
-    built) the rows ``x = lam + rho`` with ``m x`` strictly dominant are
-    counted and the image recorded; one :func:`pairings` matrix gives the
-    coroot scan and the inversion count.  Per weight, the oracle and
+    Every weight of the box ``[-ORACLE_BOX, ORACLE_BOX]^rank`` goes through
+    :func:`bwb`.  The oracle side is batched per type on int64 arrays: for
+    each of the ``|W|`` matrices ``m`` (one at a time, so no ``|W|``-wide
+    tensor is built) the rows ``x = lam + rho`` with ``m x`` strictly
+    dominant are counted and the image recorded; one :func:`pairings` matrix
+    gives the coroot scan and the inversion count.  Per weight, the oracle and
     ``bwb`` must agree on singular versus regular, with exactly one regular
     image, degree ``l(w)``, dominant part ``w(x) - 1``, and degree equal to
     the inversion count.
@@ -430,7 +428,7 @@ def check_bwb_oracle(box: int = 6) -> CriterionResult:
         group = weyl_group_elements(rs)
         lengths = [reflection_length(rs, m) for m in group]
         lams = np.array(
-            list(itertools.product(range(-box, box + 1), repeat=rs.rank)),
+            list(itertools.product(range(-ORACLE_BOX, ORACLE_BOX + 1), repeat=rs.rank)),
             dtype=np.int64,
         )
         x = lams + 1

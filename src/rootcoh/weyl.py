@@ -15,14 +15,13 @@ singular iff it holds a 0, and its degree is the number of negative entries
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import prod
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .rootsys import Root, RootSystem, Weight, SCHEMA
+from .rootsys import Root, RootSystem, Weight
 
 
 class WeylError(ValueError):
@@ -69,21 +68,6 @@ class BwbOutcome:
             "dim": str(self.dim),
         }
 
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "BwbOutcome":
-        if doc["kind"] == "singular":
-            return cls.singular()
-        if doc["kind"] == "concentrated":
-            return cls.concentrated(
-                int(doc["degree"]),
-                Weight(tuple(int(c) for c in doc["dominant"])),
-                int(doc["dim"]),
-            )
-        raise WeylError(f"unknown outcome kind {doc.get('kind')!r}")
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
 
 def pairing(rs: RootSystem, mu: Weight | Sequence[int], gamma: Root) -> int:
     """Exact pairing (mu, gamma^v) via gamma's coroot coordinates."""
@@ -91,18 +75,6 @@ def pairing(rs: RootSystem, mu: Weight | Sequence[int], gamma: Root) -> int:
     if len(coords) != rs.rank:
         raise WeylError(f"weight has {len(coords)} coordinates, expected {rs.rank}")
     return sum(c * x for c, x in zip(gamma.coroot_coords, coords))
-
-
-def _coroot_matrix(rs: RootSystem) -> tuple[np.ndarray, int]:
-    """Coroot coordinates in canonical root order, and their largest row
-    sum of absolute values; cached on ``rs``."""
-    cached = rs.__dict__.get("_coroot_matrix_cache")
-    if cached is None:
-        mat = np.array([r.coroot_coords for r in rs.positive_roots], dtype=np.int64)
-        mat.flags.writeable = False
-        cached = (mat, int(np.abs(mat).sum(axis=1).max()))
-        rs.__dict__["_coroot_matrix_cache"] = cached
-    return cached
 
 
 def pairings(rs: RootSystem, X) -> np.ndarray:
@@ -115,30 +87,12 @@ def pairings(rs: RootSystem, X) -> np.ndarray:
     X = np.asarray(X)
     if X.ndim != 2 or X.shape[1] != rs.rank:
         raise WeylError(f"pairings need rows of {rs.rank} coordinates, got shape {X.shape}")
-    mat, row_sum = _coroot_matrix(rs)
+    mat = rs.coroot_matrix
     if X.size:
         top = max(int(X.max()), -int(X.min()))
-        if top * row_sum >= 2**63:
+        if top * int(np.abs(mat).sum(axis=1).max()) >= 2**63:
             raise WeylError(f"pairings of entries up to {top} could overflow int64")
     return X.astype(np.int64, copy=False) @ mat.T
-
-
-def dot_reflect(rs: RootSystem, i: int, mu: Weight) -> Weight:
-    """Dot action of the i-th simple reflection: s_i . mu = s_i(mu + rho) - rho."""
-    if not 0 <= i < rs.rank:
-        raise WeylError(f"simple index {i} out of range for rank {rs.rank}")
-    row = rs.simple_weight_rows()[i]
-    c = mu.coords[i] + 1
-    return Weight(tuple(m - c * r for m, r in zip(mu.coords, row)))
-
-
-def _rho_denominator(rs: RootSystem) -> int:
-    """prod over positive roots of (rho, gamma^v); cached on ``rs``."""
-    cached = rs.__dict__.get("_rho_denominator_cache")
-    if cached is None:
-        cached = prod(sum(r.coroot_coords) for r in rs.positive_roots)
-        rs.__dict__["_rho_denominator_cache"] = cached
-    return cached
 
 
 def weyl_dim(rs: RootSystem, lam: Weight) -> int:
@@ -155,45 +109,36 @@ def weyl_dim(rs: RootSystem, lam: Weight) -> int:
         raise WeylError(f"weyl_dim needs a dominant weight, got {lam}")
     xp = tuple(c + 1 for c in lam.coords)
     num = prod(sum(c * x for c, x in zip(r.coroot_coords, xp)) for r in rs.positive_roots)
-    den = _rho_denominator(rs)
+    den = rs.rho_denominator
     q, rem = divmod(num, den)
     if rem:
         raise WeylError(f"dimension product for {lam} is not divisible by {den}")
     return q
 
 
-def bwb(
-    rs: RootSystem,
-    lam: Weight,
-    pivot: Callable[[Sequence[int]], int] | None = None,
-) -> BwbOutcome:
+def bwb(rs: RootSystem, lam: Weight) -> BwbOutcome:
     """Regularize lam + rho under the dot action.
 
-    Repeatedly reflects at a negative coordinate (by default the smallest
-    index; ``pivot`` may choose any negative coordinate, the step count does
-    not depend on the choice).  A zero coordinate at any stage means the
-    weight is singular.  Terminates in at most ``|Phi+|`` reflections.
+    Repeatedly applies the simple reflection at the negative coordinate of
+    smallest index.  A zero coordinate at any stage means the weight is
+    singular.  Otherwise the number of reflections, at most ``|Phi+|``, is the
+    length of the Weyl element that makes lam + rho strictly dominant.
     """
-    n = rs.rank
-    if len(lam.coords) != n:
+    if len(lam.coords) != rs.rank:
         raise WeylError(f"weight has {len(lam.coords)} coordinates, expected {rs.rank}")
-    rows = rs.simple_weight_rows()
+    rows = rs.simple_weight_rows
     x = [c + 1 for c in lam.coords]
     steps = 0
     limit = rs.num_positive_roots + 1
     for _ in range(limit + 1):
-        if any(c == 0 for c in x):
+        if 0 in x:
             return BwbOutcome.singular()
-        negatives = [i for i, c in enumerate(x) if c < 0]
-        if not negatives:
+        i = next((i for i, c in enumerate(x) if c < 0), None)
+        if i is None:
             dominant = Weight(tuple(c - 1 for c in x))
             return BwbOutcome.concentrated(steps, dominant, weyl_dim(rs, dominant))
-        i = negatives[0] if pivot is None else pivot(tuple(x))
-        if x[i] >= 0:
-            raise WeylError("pivot must select a negative coordinate")
         c = x[i]
-        row = rows[i]
-        x = [a - c * r for a, r in zip(x, row)]
+        x = [a - c * r for a, r in zip(x, rows[i])]
         steps += 1
     raise WeylError(f"regularization of {lam} did not terminate in {limit} steps")
 

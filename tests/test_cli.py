@@ -159,6 +159,7 @@ def test_verify_all_json(capsys):
         ("phi", "A2", "-p", "9"),
         ("thresholds", "A2", "-p", "9"),
         ("certify", "A1"),
+        ("check-t1", "A2", "-p", "1", "--lambda", "9223372036854775808,0"),
     ],
 )
 def test_out_of_contract_input_is_one_line_usage_error(capsys, argv):

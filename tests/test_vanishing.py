@@ -1,7 +1,5 @@
 """Hypothesis checks, threshold tables, and the p-free corollary bounds."""
 
-import json
-
 import pytest
 
 from rootcoh import (
@@ -115,7 +113,7 @@ def test_threshold_out_of_range():
 
 
 def test_thresholds_equal_column_maxima_route():
-    # the closed forms agree with max_column_profile - 1 (clamped) everywhere
+    # the closed forms agree with the column maxima less 1 (clamped) everywhere
     for t in all_simple_types(8):
         rs = root_system(t)
         for p in range(rs.num_positive_roots + 1):
@@ -152,11 +150,23 @@ def test_corollary_bounds():
 
 def test_report_json_round_trip():
     a2 = root_system("A2")
-    rep = check_theorem1(a2, 1, a2.rho)
-    doc = rep.to_json_dict(include_witnesses=True)
-    assert json.loads(json.dumps(doc)) == doc
-    assert doc["verdict"] == "pass"
-    assert len(doc["witnesses"]) == 3
+    doc = check_theorem1(a2, 1, a2.rho).to_json_dict(include_witnesses=True)
+    assert doc == {
+        "schema": "rootcoh/1",
+        "kind": "vanishing_report",
+        "type": "A2",
+        "p": 1,
+        "lambda": [1, 1],
+        "verdict": "pass",
+        "counts": {"dominant": 1, "singular": 2, "violation": 0},
+        "first_violation": None,
+        "conclusion": "H^{p,q} = 0 for all q >= 1 at this (p, lambda)",
+        "witnesses": [
+            {"mu": [-2, 1], "kind": "singular", "singular_root": [1, 0]},
+            {"mu": [-1, -1], "kind": "dominant", "singular_root": None},
+            {"mu": [1, -2], "kind": "singular", "singular_root": [0, 1]},
+        ],
+    }
 
 
 def test_e6_top_but_one_degree_at_rho():
