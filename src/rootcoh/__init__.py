@@ -20,8 +20,6 @@ from .rootsys import (
     column_classes,
     column_stats,
     root_system,
-    rs_from_json,
-    rs_to_json,
     to_weight_coords,
 )
 from .weyl import BwbOutcome, WeylError, bwb, pairing, pairings, weyl_dim
@@ -81,8 +79,6 @@ __all__ = [
     "phi_sums",
     "prop2_threshold",
     "root_system",
-    "rs_from_json",
-    "rs_to_json",
     "theorem12_lambda",
     "to_weight_coords",
     "weyl_dim",

@@ -16,7 +16,9 @@ and the high degrees are read off the low ones.
 Each (type, sign) keeps the deepest layer list built so far in one in-memory
 cache; a request for a deeper layer rebuilds the list and replaces the entry.
 The cache holds at most :data:`MAX_LIVE_KEYS` keys over all its entries: a
-new entry evicts the oldest ones until the total fits.
+new entry evicts the oldest ones until the total fits.  A sweep over every
+degree of one type should therefore ask for its deepest layer, ``N // 2``,
+first: walking ``p`` upwards instead rebuilds the list at each new depth.
 
 Memory is bounded by one fixed cap, :data:`MAX_LIVE_KEYS`, on the distinct
 weights the expansion holds: before each merge, the keys held by all layers

@@ -20,7 +20,6 @@ Conventions, fixed once and tested:
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -277,16 +276,21 @@ class RootSystem:
         return tuple(tuple(self.cartan[a][i] for a in range(n)) for i in range(n))
 
     @cached_property
+    def coroot_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Coroot coordinates of the positive roots, in canonical root order."""
+        return tuple(r.coroot_coords for r in self.positive_roots)
+
+    @cached_property
     def coroot_matrix(self) -> np.ndarray:
-        """Coroot coordinates in canonical root order, as a read-only int64 array."""
-        mat = np.array([r.coroot_coords for r in self.positive_roots], dtype=np.int64)
+        """:attr:`coroot_rows` as a read-only int64 array."""
+        mat = np.array(self.coroot_rows, dtype=np.int64)
         mat.flags.writeable = False
         return mat
 
     @cached_property
     def rho_denominator(self) -> int:
         """prod over positive roots of (rho, gamma^v)."""
-        return prod(sum(r.coroot_coords) for r in self.positive_roots)
+        return prod(sum(row) for row in self.coroot_rows)
 
     def __str__(self) -> str:
         return str(self.simple_type)
@@ -485,14 +489,6 @@ def rs_from_json_dict(doc: dict) -> RootSystem:
     if rs != reference:
         raise RootSystemError(f"document for {t} disagrees with the generated system")
     return rs
-
-
-def rs_to_json(rs: RootSystem, indent: int | None = None) -> str:
-    return json.dumps(rs_to_json_dict(rs), indent=indent)
-
-
-def rs_from_json(text: str) -> RootSystem:
-    return rs_from_json_dict(json.loads(text))
 
 
 def all_simple_types(max_rank: int = 8) -> list[SimpleType]:

@@ -120,9 +120,10 @@ class VanishingReport:
 def check_theorem1(rs: RootSystem, p: int, lam: Weight) -> VanishingReport:
     """Classify every mu in the degree-p support against lam.
 
-    Requires lam dominant, with coordinates below ``2**63``.  Witness roots
-    are the first positive root in canonical order with vanishing pairing;
-    the first violation is the lexicographically smallest violating mu.
+    Requires lam dominant, with every coordinate of ``lam + rho`` below
+    ``2**63`` so that it fits in int64.  Witness roots are the first
+    positive root in canonical order with vanishing pairing; the first
+    violation is the lexicographically smallest violating mu.
     Only the non-dominant rows are paired with the coroots, in blocks of at
     most ``MAX_LIVE_KEYS // N`` rows, so no pairing block holds more entries
     than the exterior engine may hold keys.
@@ -131,8 +132,10 @@ def check_theorem1(rs: RootSystem, p: int, lam: Weight) -> VanishingReport:
         raise VanishingError(f"lambda has {len(lam.coords)} coordinates")
     if not lam.is_dominant:
         raise VanishingError(f"lambda must be dominant, got {lam}")
-    if max(lam.coords) >= 2**63:
-        raise VanishingError(f"lambda coordinates must be below 2**63, got {lam}")
+    if max(lam.coords) + 1 >= 2**63:
+        raise VanishingError(
+            f"lambda + rho coordinates must be below 2**63, got lambda = {lam}"
+        )
     keys, _ = sum_keys(rs, p, "-")
     mu = decode_vectors(keys, rs.rank)
     lam_arr = np.array(lam.coords, dtype=np.int64)

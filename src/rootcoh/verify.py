@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .exterior import sum_vectors
+from .exterior import sum_keys, sum_vectors
 from .nonvanishing import build_certificate, e1_page
 from .rootsys import (
     RootSystem,
@@ -228,6 +228,19 @@ def check_column_statistics() -> CriterionResult:
     return _result(3, "column-statistics", not problems, detail, t0, 1.0)
 
 
+def _every_degree(rs: RootSystem) -> range:
+    """The degrees ``0..N`` of a sweep, with the type's layers built first.
+
+    A request for a deeper layer rebuilds the type's cached layer list, so a
+    sweep that walks ``p`` upwards would rebuild it at every new depth
+    ``min(p, N - p)``.  Building the deepest layer, ``N // 2``, first makes
+    the whole sweep one build.
+    """
+    n = rs.num_positive_roots
+    sum_keys(rs, n // 2, "-")
+    return range(n + 1)
+
+
 def check_prop2_sufficiency() -> CriterionResult:
     """Criterion 4: threshold weights pass the full hypothesis check, all p."""
     t0 = time.perf_counter()
@@ -236,7 +249,7 @@ def check_prop2_sufficiency() -> CriterionResult:
     for name in BRUTE_TYPES:
         rs = root_system(name)
         t1 = time.perf_counter()
-        for p in range(rs.num_positive_roots + 1):
+        for p in _every_degree(rs):
             lam = Weight(prop2_threshold(rs, p))
             rep = check_theorem1(rs, p, lam)
             if not rep.passed:
@@ -259,7 +272,7 @@ def check_corollary5() -> CriterionResult:
     for name in BRUTE_TYPES:
         rs = root_system(name)
         lam = Weight(corollary_bound(rs, "per_root"))
-        for p in range(rs.num_positive_roots + 1):
+        for p in _every_degree(rs):
             rep = check_theorem1(rs, p, lam)
             if not rep.passed:
                 problems.append(f"{name} p={p}: {rep.first_violation}")
@@ -279,7 +292,7 @@ def check_pairing_bound() -> CriterionResult:
         rs = root_system(name)
         h = rs.coxeter_number
         attained = False
-        for j in range(1, rs.num_positive_roots + 1):
+        for j in _every_degree(rs)[1:]:
             vecs, _ = sum_vectors(rs, j, "-")
             pair = pairings(rs, vecs + 1)
             top = int(np.abs(pair).max())

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
+from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -69,6 +70,10 @@ class BwbOutcome:
         }
 
 
+#: The one singular outcome; :class:`BwbOutcome` is frozen, so it is shared.
+_SINGULAR = BwbOutcome.singular()
+
+
 def pairing(rs: RootSystem, mu: Weight | Sequence[int], gamma: Root) -> int:
     """Exact pairing (mu, gamma^v) via gamma's coroot coordinates."""
     coords = mu.coords if isinstance(mu, Weight) else tuple(mu)
@@ -107,8 +112,8 @@ def weyl_dim(rs: RootSystem, lam: Weight) -> int:
         raise WeylError(f"weight has {len(lam.coords)} coordinates, expected {rs.rank}")
     if not lam.is_dominant:
         raise WeylError(f"weyl_dim needs a dominant weight, got {lam}")
-    xp = tuple(c + 1 for c in lam.coords)
-    num = prod(sum(c * x for c, x in zip(r.coroot_coords, xp)) for r in rs.positive_roots)
+    xp = [c + 1 for c in lam.coords]
+    num = prod([sum(map(mul, row, xp)) for row in rs.coroot_rows])
     den = rs.rho_denominator
     q, rem = divmod(num, den)
     if rem:
@@ -128,18 +133,17 @@ def bwb(rs: RootSystem, lam: Weight) -> BwbOutcome:
         raise WeylError(f"weight has {len(lam.coords)} coordinates, expected {rs.rank}")
     rows = rs.simple_weight_rows
     x = [c + 1 for c in lam.coords]
-    steps = 0
     limit = rs.num_positive_roots + 1
-    for _ in range(limit + 1):
+    for steps in range(limit + 1):
         if 0 in x:
-            return BwbOutcome.singular()
-        i = next((i for i, c in enumerate(x) if c < 0), None)
-        if i is None:
+            return _SINGULAR
+        for i, c in enumerate(x):
+            if c < 0:
+                break
+        else:
             dominant = Weight(tuple(c - 1 for c in x))
             return BwbOutcome.concentrated(steps, dominant, weyl_dim(rs, dominant))
-        c = x[i]
         x = [a - c * r for a, r in zip(x, rows[i])]
-        steps += 1
     raise WeylError(f"regularization of {lam} did not terminate in {limit} steps")
 
 

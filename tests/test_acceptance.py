@@ -1,11 +1,12 @@
 """The nine acceptance checks, one test each, and mutations criterion 9 must catch."""
 
 import dataclasses
+import re
 
 import pytest
 
-from rootcoh import verify
-from rootcoh.rootsys import Weight
+from rootcoh import exterior, verify
+from rootcoh.rootsys import Weight, root_system
 from rootcoh.weyl import BwbOutcome
 from rootcoh.verify import (
     check_appendix_tables,
@@ -76,3 +77,31 @@ def test_criterion9_catches_a_corrupted_outcome(monkeypatch, corrupt, message):
     res = check_bwb_oracle()
     assert not res.ok
     assert res.detail.startswith(f"B3 {target}: {message}")
+
+
+def test_sweeps_build_each_type_once_and_ignore_cache_state(monkeypatch):
+    # criteria 4-6 sweep every degree of each type; each sweep asks for the
+    # deepest layer first, so the three make one layer build per type, and
+    # what the cache held before changes no outcome
+    sweeps = (check_prop2_sufficiency, check_corollary5, check_pairing_bound)
+    builds = []
+    real = exterior._layers
+
+    def counting(mat, depth):
+        builds.append(depth)
+        return real(mat, depth)
+
+    def outcomes():
+        results = [check() for check in sweeps]
+        return [(r.ok, re.sub(r"\d+\.\d+s", "<t>", r.detail)) for r in results]
+
+    monkeypatch.setattr(exterior, "_layers", counting)
+    monkeypatch.setattr(exterior, "_layer_cache", {})
+    cold = outcomes()
+    assert set(verify.BOUND_TYPES) <= set(verify.BRUTE_TYPES)
+    assert len(builds) == len(verify.BRUTE_TYPES) == 13
+    assert all(ok for ok, _ in cold)
+    monkeypatch.setattr(exterior, "_layer_cache", {})
+    exterior.sum_keys(root_system("F4"), 3, "-")
+    exterior.sum_keys(root_system("B4"), 2, "-")
+    assert outcomes() == cold

@@ -160,6 +160,7 @@ def test_verify_all_json(capsys):
         ("thresholds", "A2", "-p", "9"),
         ("certify", "A1"),
         ("check-t1", "A2", "-p", "1", "--lambda", "9223372036854775808,0"),
+        ("check-t1", "A2", "-p", "1", "--lambda", "9223372036854775807,0"),
     ],
 )
 def test_out_of_contract_input_is_one_line_usage_error(capsys, argv):

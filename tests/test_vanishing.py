@@ -69,6 +69,14 @@ def test_check_requires_dominant_lambda():
         check_theorem1(a2, 1, Weight.of(-1, 0))
 
 
+def test_check_refuses_lambda_plus_rho_past_int64():
+    a2 = root_system("A2")
+    for top in (2**63 - 1, 2**63):
+        with pytest.raises(VanishingError, match=r"lambda \+ rho .* below 2\*\*63"):
+            check_theorem1(a2, 1, Weight.of(top, 0))
+    assert check_theorem1(a2, 1, Weight.of(2**61, 2**61)).passed
+
+
 def test_singular_witnesses_reverify():
     for name in ("A3", "B2", "G2"):
         rs = root_system(name)

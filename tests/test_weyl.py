@@ -1,6 +1,7 @@
 """Regularization, the pairing primitive, and the dimension formula."""
 
 import itertools
+import json
 import random
 from math import prod
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rootcoh import bwb, pairing, pairings, root_system, weyl_dim
-from rootcoh.rootsys import Weight, rs_from_json, rs_to_json
+from rootcoh.rootsys import Weight, all_simple_types, rs_from_json_dict, rs_to_json_dict
 from rootcoh.weyl import BwbOutcome, WeylError, degree_by_inversions
 
 
@@ -95,7 +96,7 @@ def test_pairings_refuse_overflow():
 def test_cached_tables_survive_a_json_round_trip():
     for name in ("A3", "B3", "G2", "E6"):
         rs = root_system(name)
-        rebuilt = rs_from_json(rs_to_json(rs))
+        rebuilt = rs_from_json_dict(json.loads(json.dumps(rs_to_json_dict(rs))))
         assert rebuilt is not rs
         assert rebuilt.simple_weight_rows == rs.simple_weight_rows
         assert rebuilt.simple_weight_rows is rebuilt.simple_weight_rows
@@ -109,6 +110,7 @@ def test_cached_tables_survive_a_json_round_trip():
         assert rebuilt.coroot_matrix is rebuilt.coroot_matrix
         coroots = [list(r.coroot_coords) for r in rs.positive_roots]
         assert rebuilt.coroot_matrix.tolist() == coroots
+        assert [list(row) for row in rebuilt.coroot_rows] == coroots
         simple = [rs.simple_root(i) for i in range(n)]
         assert [rebuilt.simple_root(i) for i in range(n)] == simple
         assert weyl_dim(rebuilt, rs.rho) == weyl_dim(rs, rs.rho) == 2**rs.num_positive_roots
@@ -126,6 +128,27 @@ def test_bwb_degree_matches_inversion_count():
                 assert inv is None
             else:
                 assert out.degree == inv
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_bwb_agrees_with_one_pairing_row_on_every_type(data):
+    # criterion 9 searches W only up to rank 3; one row x @ C.T decides the
+    # rest: singular iff a pairing is 0, degree = the negative pairings, and
+    # the dimension is |prod of the pairings| / prod (rho, gamma^v)
+    rs = root_system(data.draw(st.sampled_from(all_simple_types(8))))
+    coords = data.draw(st.tuples(*[st.integers(-8, 8) for _ in range(rs.rank)]))
+    row = pairings(rs, [[c + 1 for c in coords]])[0].tolist()
+    out = bwb(rs, Weight(coords))
+    assert out.is_singular == (0 in row)
+    if out.is_singular:
+        return
+    assert out.degree == sum(v < 0 for v in row)
+    dim, rem = divmod(abs(prod(row)), rs.rho_denominator)
+    assert rem == 0 and out.dim == dim
+    # w permutes the coroots up to sign, so |pairings| are those of w(x)
+    image = pairings(rs, [[c + 1 for c in out.dominant.coords]])[0].tolist()
+    assert sorted(abs(v) for v in row) == sorted(image)
 
 
 def test_weyl_dim_trivial_and_a1():
