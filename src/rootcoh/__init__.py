@@ -20,7 +20,6 @@ from .rootsys import (
     column_classes,
     column_stats,
     root_system,
-    to_weight_coords,
 )
 from .weyl import BwbOutcome, WeylError, bwb, pairing, pairings, weyl_dim
 from .exterior import (
@@ -80,7 +79,6 @@ __all__ = [
     "prop2_threshold",
     "root_system",
     "theorem12_lambda",
-    "to_weight_coords",
     "weyl_dim",
 ]
 

@@ -1,20 +1,26 @@
-"""Sums of p distinct roots and the weight multisets of Lambda^p n- (x) k_lam.
+"""Sums of p distinct negative roots and the weights of Lambda^p n- (x) k_lam.
 
 The weights of ``Lambda^p n-`` with their multiplicities are the coefficients
 of ``t^p`` in ``prod_{gamma > 0} (1 + t e^{-gamma})`` (Kostant, Ann. of Math.
 74, 1961).  One engine expands that product root by root.  Layer ``j`` holds
-the sums of ``j`` distinct roots as sorted int64 keys (packed by
-:func:`encode_vectors`) with their multiplicities; adding the root ``gamma``
+the sums of ``j`` distinct negative roots as sorted int64 keys (packed by
+:func:`encode_vectors`) with their multiplicities; adding the root ``-gamma``
 merges layer ``j`` with layer ``j - 1`` shifted by the packed key of
-``gamma``.  The expansion runs only to depth ``d = min(p, N - p)``.  A subset
-and its complement sum to the sum of all the signed roots, so
+``-gamma``.  The packed keys stay inside this module: callers read weight
+vectors from :func:`sum_vectors`.
 
-    layer N - p = (sum of the signed roots) - layer p,
+The expansion runs only to depth ``d = min(p, N - p)``.  A subset and its
+complement sum to ``-2 rho``, whose fundamental-weight coordinates are all
+``-2``, so
 
-and the high degrees are read off the low ones.
+    layer N - p = -2 - layer p,
 
-Each (type, sign) keeps the deepest layer list built so far in one in-memory
-cache; a request for a deeper layer rebuilds the list and replaces the entry.
+and :func:`sum_vectors` reads the high degrees off the decoded low ones.
+Sums of positive roots are the negatives of sums of negative roots, so
+:func:`phi_sums` reads them off the same layers.
+
+Each type keeps the deepest layer list built so far in one in-memory cache;
+a request for a deeper layer rebuilds the list and replaces the entry.
 The cache holds at most :data:`MAX_LIVE_KEYS` keys over all its entries: a
 new entry evicts the oldest ones until the total fits.  A sweep over every
 degree of one type should therefore ask for its deepest layer, ``N // 2``,
@@ -84,12 +90,14 @@ class WeightMultiset:
 # encoding of integer vectors into sortable int64 keys
 
 
-def _field_bits(rank: int) -> int:
-    return min(62 // rank, 16)
-
-
 def _encoder(rank: int) -> tuple[int, int]:
-    bits = _field_bits(rank)
+    """Bits per coordinate and the bias that makes a coordinate non-negative."""
+    bits = min(62 // rank, 16)
+    if bits == 0:
+        raise ExteriorError(
+            f"rank {rank} leaves no bits per coordinate in an int64 key "
+            "(the rank must be below 63)"
+        )
     return bits, 1 << (bits - 1)
 
 
@@ -208,11 +216,11 @@ def _layers(mat: np.ndarray, depth: int) -> list[tuple[np.ndarray, np.ndarray]]:
 # ---------------------------------------------------------------------------
 # public operations
 
-#: Deepest layer list built so far, per (type, sign), oldest entry first.
-_layer_cache: dict[tuple[str, int], list[tuple[np.ndarray, np.ndarray]]] = {}
+#: Deepest layer list built so far, per type, oldest entry first.
+_layer_cache: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
 
 
-def _cache_layers(key: tuple[str, int], layers: list) -> None:
+def _cache_layers(key: str, layers: list) -> None:
     """Store ``layers`` as the newest entry, evicting the oldest entries
     until the keys cached over all entries fit in :data:`MAX_LIVE_KEYS`.
 
@@ -230,27 +238,14 @@ def _cache_layers(key: tuple[str, int], layers: list) -> None:
         del _layer_cache[k]
 
 
-def _root_matrix(rs: RootSystem, sign: int) -> np.ndarray:
-    mat = np.array([r.weight.coords for r in rs.positive_roots], dtype=np.int64)
-    return mat if sign > 0 else -mat
+def sum_keys(rs: RootSystem, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Encoded (keys, multiplicities) of the direct layer ``d = min(p, N - p)``.
 
-
-def _signed(sign: str) -> int:
-    if sign == "+":
-        return 1
-    if sign == "-":
-        return -1
-    raise ExteriorError(f"sign must be '+' or '-', got {sign!r}")
-
-
-def sum_keys(rs: RootSystem, p: int, sign: str = "-") -> tuple[np.ndarray, np.ndarray]:
-    """Encoded (keys, multiplicities) of all sums of p distinct roots.
-
-    Keys are sorted ascending, which is lexicographic order of the weights.
-    The root-by-root expansion runs to depth ``d = min(p, N - p)``; for
-    ``p > N / 2`` the layer is ``(sum of the signed roots) - layer N - p``,
-    decoded, subtracted, reversed (which keeps it sorted) and re-encoded.
-    The layer list of each (type, sign) is cached and rebuilt only when a
+    Layer ``d`` holds the sums of ``d`` distinct negative roots; its keys
+    are sorted ascending, which is lexicographic order of the weights.  For
+    ``p > N / 2`` it is the complement of layer ``p``: as many keys, and the
+    multiplicities in reverse order.  :func:`sum_vectors` reads layer ``p``
+    off it.  The layer list of each type is cached and rebuilt only when a
     deeper layer is asked for; the oldest entries are evicted so that the
     cache holds at most :data:`MAX_LIVE_KEYS` keys.  A job with
     ``C(N, d) >= 2**63``, so that a multiplicity could wrap, is refused with
@@ -262,34 +257,48 @@ def sum_keys(rs: RootSystem, p: int, sign: str = "-") -> tuple[np.ndarray, np.nd
     n = rs.num_positive_roots
     if not 0 <= p <= n:
         raise ExteriorError(f"p must lie in [0, {n}], got {p}")
-    s = _signed(sign)
     depth = min(p, n - p)
     if math.comb(n, depth) >= 2**63:
         raise BudgetExceededError(
             f"multiplicities up to C({n},{depth}) would overflow int64"
         )
-    key = (str(rs.simple_type), s)
+    key = str(rs.simple_type)
     layers = _layer_cache.get(key)
     if layers is None or len(layers) <= depth:
-        layers = _layers(_root_matrix(rs, s), depth)
+        mat = np.array([r.weight.coords for r in rs.positive_roots], dtype=np.int64)
+        layers = _layers(-mat, depth)
         _cache_layers(key, layers)
-    if p == depth:
-        return layers[p]
-    keys, counts = layers[depth]
-    total = _root_matrix(rs, s).sum(axis=0)
-    vecs = total - decode_vectors(keys, rs.rank)
-    return encode_vectors(vecs[::-1], rs.rank), counts[::-1].copy()
+    return layers[depth]
 
 
-def sum_vectors(rs: RootSystem, p: int, sign: str = "-") -> tuple[np.ndarray, np.ndarray]:
-    """Decoded (vectors, multiplicities), rows sorted lexicographically."""
-    keys, counts = sum_keys(rs, p, sign)
-    return decode_vectors(keys, rs.rank), counts
+def sum_vectors(rs: RootSystem, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(weights, multiplicities) of all sums of p distinct negative roots.
+
+    Rows are int64 weight vectors sorted lexicographically.  For
+    ``p > N / 2`` they are ``-2 - (layer N - p)`` in reverse order, which
+    keeps them sorted: the negative roots sum to ``-2 rho``, which
+    :func:`build_root_system <rootcoh.rootsys.build_root_system>` checks.
+    A complement is never packed again, so it is not held to the packing
+    range.
+    """
+    keys, counts = sum_keys(rs, p)
+    rows = decode_vectors(keys, rs.rank)
+    if 2 * p <= rs.num_positive_roots:
+        return rows, counts
+    return -2 - rows[::-1], counts[::-1].copy()
 
 
 def phi_sums(rs: RootSystem, p: int, sign: str = "-") -> WeightMultiset:
-    """The multiset of sums of p distinct positive (or negative) roots."""
-    vecs, counts = sum_vectors(rs, p, sign)
+    """The multiset of sums of p distinct negative (``"-"``) or positive
+    (``"+"``) roots, in lexicographic order.
+
+    The positive sums are the negated negative sums, read in reverse order.
+    """
+    if sign not in ("+", "-"):
+        raise ExteriorError(f"sign must be '+' or '-', got {sign!r}")
+    vecs, counts = sum_vectors(rs, p)
+    if sign == "+":
+        vecs, counts = -vecs[::-1], counts[::-1]
     entries = tuple(
         (Weight(tuple(int(c) for c in vecs[i])), int(counts[i]))
         for i in range(vecs.shape[0])
@@ -301,7 +310,7 @@ def lambda_p_weights(rs: RootSystem, p: int, lam: Weight) -> WeightMultiset:
     """Weights of Lambda^p n- tensored by the character lam."""
     if len(lam.coords) != rs.rank:
         raise ExteriorError(f"weight has {len(lam.coords)} coordinates")
-    return phi_sums(rs, p, "-").translate(lam)
+    return phi_sums(rs, p).translate(lam)
 
 
 def greedy_column_profile(rs: RootSystem, p: int) -> tuple[int, ...]:

@@ -296,49 +296,48 @@ class RootSystem:
         return str(self.simple_type)
 
 
-def to_weight_coords(rs: RootSystem, root_coords: Sequence[int]) -> Weight:
-    """Pair an integer combination of simple roots against all simple coroots."""
-    n = rs.rank
-    vec = tuple(root_coords)
-    if len(vec) != n:
-        raise RootSystemError(f"expected {n} coordinates, got {len(vec)}")
-    return Weight(tuple(sum(rs.cartan[a][b] * vec[b] for b in range(n)) for a in range(n)))
-
-
-def _generate_positive_root_coords(
+def _generate_positive_roots(
     cartan: tuple[tuple[int, ...], ...], n: int
-) -> list[tuple[int, ...]]:
-    """Close the simple roots under simple reflections, keeping positives."""
-    seen: set[tuple[int, ...]] = set()
+) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Close the simple roots under simple reflections, keeping positives.
+
+    Maps the root coordinates of each positive root to its weight
+    coordinates, ``cartan @ root_coords``.  A simple root's weight is
+    column ``i`` of the Cartan matrix, and reflecting at ``i`` subtracts
+    ``c = w[i]`` times that column from the weight ``w``, as it subtracts
+    ``c`` from root coordinate ``i``; so no weight is computed twice.
+    """
+    columns = [tuple(cartan[a][i] for a in range(n)) for i in range(n)]
+    seen: dict[tuple[int, ...], tuple[int, ...]] = {}
     work: list[tuple[int, ...]] = []
     for i in range(n):
         unit = tuple(1 if k == i else 0 for k in range(n))
-        seen.add(unit)
+        seen[unit] = columns[i]
         work.append(unit)
     while work:
         rc = work.pop()
-        pair = [sum(cartan[a][b] * rc[b] for b in range(n)) for a in range(n)]
+        w = seen[rc]
         for i in range(n):
-            c = pair[i]
-            if c == 0:
+            c = w[i]
+            if c == 0 or rc[i] < c:
                 continue
             refl = list(rc)
             refl[i] -= c
             new = tuple(refl)
-            if min(new) < 0:
-                continue
             if new not in seen:
-                seen.add(new)
+                col = columns[i]
+                seen[new] = tuple(w[a] - c * col[a] for a in range(n))
                 work.append(new)
-    return sorted(seen, key=lambda rc: (sum(rc), rc))
+    return {rc: seen[rc] for rc in sorted(seen, key=lambda rc: (sum(rc), rc))}
 
 
 @lru_cache(maxsize=None)
 def build_root_system(t: SimpleType) -> RootSystem:
     """Construct the full positive-root catalogue for a simple type.
 
-    Generation is a breadth-first closure of the simple roots under simple
-    reflections using integer pairing arithmetic only.  The result is cached
+    Generation is a closure of the simple roots under simple reflections
+    using integer arithmetic only; it hands over each root's weight
+    coordinates with its root coordinates.  The result is cached
     per type; RootSystem is immutable and safe to share between threads.
     """
     n = t.rank
@@ -349,16 +348,15 @@ def build_root_system(t: SimpleType) -> RootSystem:
             if cartan[i][j] * hn[i] != cartan[j][i] * hn[j]:
                 raise RootSystemError("cartan matrix is not symmetrizable")
 
-    coords = _generate_positive_root_coords(cartan, n)
+    weights = _generate_positive_roots(cartan, n)
     expected = _POSITIVE_COUNT[t.family](n)
-    if len(coords) != expected:
+    if len(weights) != expected:
         raise RootSystemError(
-            f"{t}: generated {len(coords)} positive roots, expected {expected}"
+            f"{t}: generated {len(weights)} positive roots, expected {expected}"
         )
 
     roots = []
-    for rc in coords:
-        w = tuple(sum(cartan[a][b] * rc[b] for b in range(n)) for a in range(n))
+    for rc, w in weights.items():
         norm2 = sum(rc[j] * w[j] * hn[j] for j in range(n))
         if norm2 <= 0 or norm2 % 2 != 0:
             raise RootSystemError(f"{t}: bad squared length for root {rc}")

@@ -18,7 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .exterior import MAX_LIVE_KEYS, decode_vectors, sum_keys
+from .exterior import MAX_LIVE_KEYS, sum_vectors
 from .rootsys import Root, RootSystem, Weight, SCHEMA
 from .weyl import pairings
 
@@ -136,8 +136,7 @@ def check_theorem1(rs: RootSystem, p: int, lam: Weight) -> VanishingReport:
         raise VanishingError(
             f"lambda + rho coordinates must be below 2**63, got lambda = {lam}"
         )
-    keys, _ = sum_keys(rs, p, "-")
-    mu = decode_vectors(keys, rs.rank)
+    mu, _ = sum_vectors(rs, p)
     lam_arr = np.array(lam.coords, dtype=np.int64)
     status = np.full(mu.shape[0], STATUS_DOMINANT, dtype=np.int8)
     witness_idx = np.zeros(mu.shape[0], dtype=np.intp)

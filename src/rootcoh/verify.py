@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .exterior import sum_keys, sum_vectors
+from .exterior import sum_vectors
 from .nonvanishing import build_certificate, e1_page
 from .rootsys import (
     RootSystem,
@@ -51,6 +51,11 @@ GOLDEN_TABLES = (
     "G2", "F4", "E6", "E7", "E8",
     "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "D5",
 )
+
+
+def rank_2_to_8_types() -> list[SimpleType]:
+    """The 31 simple types of rank 2..8 that criteria 3 and 7 check."""
+    return [t for t in all_simple_types(8) if t.rank >= 2]
 
 
 @dataclass
@@ -199,21 +204,11 @@ def _expected_column_stats(t: SimpleType) -> list[tuple[int, ...]]:
     raise AssertionError(fam)
 
 
-def column_stats_types() -> list[SimpleType]:
-    out = [SimpleType("A", n) for n in range(2, 9)]
-    out += [SimpleType("B", n) for n in range(2, 9)]
-    out += [SimpleType("C", n) for n in range(2, 9)]
-    out += [SimpleType("D", n) for n in range(4, 9)]
-    out += [SimpleType("E", 6), SimpleType("E", 7), SimpleType("E", 8)]
-    out += [SimpleType("F", 4), SimpleType("G", 2)]
-    return out
-
-
 def check_column_statistics() -> CriterionResult:
     """Criterion 3: column statistics match the family formulas verbatim."""
     t0 = time.perf_counter()
     problems = []
-    types = column_stats_types()
+    types = rank_2_to_8_types()
     for t in types:
         rs = root_system(t)
         expected = _expected_column_stats(t)
@@ -237,7 +232,7 @@ def _every_degree(rs: RootSystem) -> range:
     the whole sweep one build.
     """
     n = rs.num_positive_roots
-    sum_keys(rs, n // 2, "-")
+    sum_vectors(rs, n // 2)
     return range(n + 1)
 
 
@@ -293,7 +288,7 @@ def check_pairing_bound() -> CriterionResult:
         h = rs.coxeter_number
         attained = False
         for j in _every_degree(rs)[1:]:
-            vecs, _ = sum_vectors(rs, j, "-")
+            vecs, _ = sum_vectors(rs, j)
             pair = pairings(rs, vecs + 1)
             top = int(np.abs(pair).max())
             if top > h - 1:
@@ -310,15 +305,11 @@ def check_pairing_bound() -> CriterionResult:
     return _result(6, "pairing-bound", not problems, detail, t0, 120.0)
 
 
-def certificate_types() -> list[SimpleType]:
-    return [t for t in all_simple_types(8) if t.rank >= 2]
-
-
 def check_certificates() -> CriterionResult:
     """Criterion 7: nonvanishing certificates validate for every rank 2..8 type."""
     t0 = time.perf_counter()
     problems = []
-    types = certificate_types()
+    types = rank_2_to_8_types()
     worst = 0.0
     for t in types:
         rs = root_system(t)

@@ -102,6 +102,6 @@ def test_sweeps_build_each_type_once_and_ignore_cache_state(monkeypatch):
     assert len(builds) == len(verify.BRUTE_TYPES) == 13
     assert all(ok for ok, _ in cold)
     monkeypatch.setattr(exterior, "_layer_cache", {})
-    exterior.sum_keys(root_system("F4"), 3, "-")
-    exterior.sum_keys(root_system("B4"), 2, "-")
+    exterior.sum_keys(root_system("F4"), 3)
+    exterior.sum_keys(root_system("B4"), 2)
     assert outcomes() == cold

@@ -101,6 +101,18 @@ def test_budget_refusal_exit_code(capsys, monkeypatch):
     assert err.startswith("refused: ")
 
 
+def test_check_t1_past_half_the_roots_is_not_held_to_the_packing_range(capsys):
+    # A20 packs 3-bit fields; degree 208 is read off degree 2, and its
+    # weights (entries down to -4) are never packed
+    lam = ",".join(["30"] * 20)
+    code, out, _ = run(capsys, "check-t1", "A20", "-p", "208", "--lambda", lam,
+                       "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["verdict"] == "pass"
+    assert doc["counts"] == {"dominant": 14820, "singular": 0, "violation": 0}
+
+
 def test_bwb_command(capsys):
     code, out, _ = run(capsys, "bwb", "A2", "--lambda", "-2,1")
     assert code == 0
@@ -161,6 +173,7 @@ def test_verify_all_json(capsys):
         ("certify", "A1"),
         ("check-t1", "A2", "-p", "1", "--lambda", "9223372036854775808,0"),
         ("check-t1", "A2", "-p", "1", "--lambda", "9223372036854775807,0"),
+        ("phi", "A63", "-p", "1"),
     ],
 )
 def test_out_of_contract_input_is_one_line_usage_error(capsys, argv):

@@ -22,6 +22,7 @@ from rootcoh.exterior import (
     greedy_column_profile,
     subset_sums_reference,
     sum_keys,
+    sum_vectors,
 )
 from rootcoh.rootsys import Weight
 
@@ -123,10 +124,22 @@ def test_engines_agree_on_all_degrees():
             ref = sorted(subset_sums_reference(rows, p).items())
             want_keys = encode_vectors(np.array([w for w, _ in ref]), rs.rank)
             want_counts = np.array([m for _, m in ref], dtype=np.int64)
-            keys, counts = sum_keys(rs, p, "-")
-            assert keys.dtype == counts.dtype == np.int64
-            np.testing.assert_array_equal(keys, want_keys)
+            vecs, counts = sum_vectors(rs, p)
+            assert vecs.dtype == counts.dtype == np.int64
+            np.testing.assert_array_equal(encode_vectors(vecs, rs.rank), want_keys)
             np.testing.assert_array_equal(counts, want_counts)
+
+
+def test_complement_is_not_held_to_the_packing_range():
+    # rank 20 packs 3-bit fields (entries -3..3); layer 2 fits, but its
+    # complement, layer 208, has entries -4 and so cannot be packed
+    a20 = root_system("A20")
+    low, low_counts = sum_vectors(a20, 2)
+    high, high_counts = sum_vectors(a20, 208)
+    np.testing.assert_array_equal(high, -2 - low[::-1])
+    np.testing.assert_array_equal(high_counts, low_counts[::-1])
+    assert int(high_counts.sum()) == math.comb(210, 2)
+    assert high.min() == -4
 
 
 def test_layers_refuse_sums_past_the_packing_range():
@@ -138,6 +151,9 @@ def test_layers_refuse_sums_past_the_packing_range():
         _layers(mat, 2)
     with pytest.raises(ExteriorError):
         _layers(-mat, 2)
+    # rank 63 leaves no bits per field at all
+    with pytest.raises(ExteriorError, match="rank 63"):
+        _layers(np.zeros((1, 63), dtype=np.int64), 1)
 
 
 def test_multiplicity_overflow_refused_before_allocation():
@@ -217,31 +233,33 @@ def test_layer_cache_evicts_oldest_entries_past_the_cap(monkeypatch):
         return {k: sum(ks.size for ks, _ in v) for k, v in exterior._layer_cache.items()}
 
     a2, b2, g2 = root_system("A2"), root_system("B2"), root_system("G2")
-    sum_keys(a2, 1, "-")
-    sum_keys(b2, 2, "-")
-    assert cached() == {("A2", -1): 4, ("B2", -1): 11}
-    keys, counts = sum_keys(g2, 3, "-")  # 35 keys: both older entries go
-    assert cached() == {("G2", -1): 35}
-    sum_keys(a2, 1, "-")
-    assert cached() == {("G2", -1): 35, ("A2", -1): 4}
-    sum_keys(g2, 1, "+")  # 7 more keys: the oldest entry, G2 '-', goes
-    assert cached() == {("A2", -1): 4, ("G2", 1): 7}
-    again = sum_keys(g2, 3, "-")  # rebuilt after eviction, bit for bit
+    sum_keys(a2, 1)
+    sum_keys(b2, 2)
+    assert cached() == {"A2": 4, "B2": 11}
+    keys, counts = sum_keys(g2, 3)  # 35 keys: both older entries go
+    assert cached() == {"G2": 35}
+    sum_keys(a2, 1)
+    assert cached() == {"G2": 35, "A2": 4}
+    phi_sums(g2, 3, "+")  # read off the cached G2 layers: no new entry
+    assert cached() == {"G2": 35, "A2": 4}
+    sum_keys(b2, 2)  # 11 more keys: the oldest entry, G2, goes
+    assert cached() == {"A2": 4, "B2": 11}
+    again = sum_keys(g2, 3)  # rebuilt after eviction, bit for bit
     assert np.array_equal(again[0], keys) and np.array_equal(again[1], counts)
-    assert list(cached()) == [("G2", -1)]
+    assert list(cached()) == ["G2"]
 
 
 def test_largest_job_of_the_old_subset_budget_runs(monkeypatch):
     # A8 at p = 9 held the most keys among all jobs with C(N, p) <= 10**8
     monkeypatch.setattr(exterior, "_layer_cache", {})
-    keys, counts = sum_keys(root_system("A8"), 9, "-")
+    keys, counts = sum_keys(root_system("A8"), 9)
     assert int(counts.sum()) == math.comb(36, 9)
 
 
 def test_jobs_past_the_old_subset_budget_run(monkeypatch):
     # C(36, 10) ~ 2.5e8 subsets, but the expansion holds about 562k keys
     monkeypatch.setattr(exterior, "_layer_cache", {})
-    keys, counts = sum_keys(root_system("E6"), 10, "-")
+    keys, counts = sum_keys(root_system("E6"), 10)
     assert int(counts.sum()) == math.comb(36, 10)
 
 

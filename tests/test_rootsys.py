@@ -11,7 +11,6 @@ from rootcoh import (
     column_classes,
     column_stats,
     root_system,
-    to_weight_coords,
 )
 from rootcoh.rootsys import Weight, rs_from_json_dict, rs_to_json_dict
 
@@ -62,19 +61,11 @@ def test_parse_rejects_garbage():
         SimpleType.parse("B")
 
 
-def test_to_weight_coords_examples():
+def test_highest_root_weight_examples():
     f4 = root_system("F4")
-    assert to_weight_coords(f4, (1, 2, 3, 2)).coords == (0, 0, 0, 1)
+    assert f4.root_by_coords((1, 2, 3, 2)).weight.coords == (0, 0, 0, 1)
     e6 = root_system("E6")
-    assert to_weight_coords(e6, (1, 2, 2, 3, 2, 1)).coords == (0, 1, 0, 0, 0, 0)
-    for name in ("A2", "B3", "G2"):
-        rs = root_system(name)
-        assert to_weight_coords(rs, (0,) * rs.rank).coords == (0,) * rs.rank
-
-
-def test_to_weight_coords_length_mismatch():
-    with pytest.raises(RootSystemError):
-        to_weight_coords(root_system("A2"), (1, 2, 3))
+    assert e6.root_by_coords((1, 2, 2, 3, 2, 1)).weight.coords == (0, 1, 0, 0, 0, 0)
 
 
 def test_coroot_coords_simple_roots_are_units():
@@ -124,8 +115,11 @@ def test_column_stats_totals():
 def test_weight_coords_linear_in_root_coords():
     for t in all_simple_types(8):
         rs = root_system(t)
+        n = rs.rank
         for r in rs.positive_roots:
-            assert to_weight_coords(rs, r.root_coords) == r.weight
+            w = tuple(sum(rs.cartan[a][b] * r.root_coords[b] for b in range(n))
+                      for a in range(n))
+            assert r.weight.coords == w
 
 
 def test_positive_roots_sum_to_two_rho():
