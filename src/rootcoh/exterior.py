@@ -300,8 +300,8 @@ def phi_sums(rs: RootSystem, p: int, sign: str = "-") -> WeightMultiset:
     if sign == "+":
         vecs, counts = -vecs[::-1], counts[::-1]
     entries = tuple(
-        (Weight(tuple(int(c) for c in vecs[i])), int(counts[i]))
-        for i in range(vecs.shape[0])
+        (Weight(tuple(row)), mult)
+        for row, mult in zip(vecs.tolist(), counts.tolist())
     )
     return WeightMultiset(p=p, entries=entries)
 

@@ -149,6 +149,28 @@ def test_e1_command(capsys):
     assert "euler characteristic: -1" in out
 
 
+@pytest.mark.parametrize(
+    "lam, lines",
+    [
+        (
+            "9223372036854775807,0",
+            ["degree 0: 85070591730234615847396907784232501248",
+             "degree 1: 42535295865117307937533511947398414336"],
+        ),
+        (
+            "92233720368547758070,5",
+            ["degree 0: 68056473384187692682160277364339197870423"],
+        ),
+    ],
+)
+def test_e1_is_exact_past_int64(capsys, lam, lines):
+    # lambda is added to the weights in Python ints, never in int64
+    code, out, err = run(capsys, "e1", "A2", "-p", "1", "--lambda", lam)
+    assert code == 0 and err == ""
+    for line in lines:
+        assert f"  {line}\n" in out
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     assert main([]) == 2
 

@@ -1,8 +1,12 @@
 """Witness weights, weight classification, certificates, and degree pages."""
 
 import random
+import re
+from math import prod
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rootcoh import (
     build_certificate,
@@ -12,13 +16,14 @@ from rootcoh import (
     theorem12_lambda,
     weyl_dim,
 )
+from rootcoh.exterior import ExteriorError, sum_vectors
 from rootcoh.nonvanishing import (
     CertificateError,
     _beta_indices,
     _check_filtration_order,
 )
 from rootcoh.rootsys import Weight, all_simple_types
-from rootcoh.weyl import bwb
+from rootcoh.weyl import bwb, pairings
 
 
 def test_witness_weight_examples():
@@ -201,6 +206,49 @@ def test_e1_page_euler_is_multiset_invariant():
         if not out.is_singular:
             chi += (-1) ** out.degree * out.dim * m
     assert chi == page.euler == -1
+
+
+def test_e1_page_refuses_out_of_contract_input():
+    for name in ("A1", "A2", "G2", "B3"):
+        rs = root_system(name)
+        n = rs.num_positive_roots
+        for k in (rs.rank - 1, rs.rank + 1):
+            with pytest.raises(ExteriorError, match=f"weight has {k} coordinates"):
+                e1_page(rs, 1, Weight((1,) * k))
+        for p in (-1, n + 1):
+            msg = re.escape(f"p must lie in [0, {n}], got {p}")
+            with pytest.raises(ExteriorError, match=msg):
+                e1_page(rs, p, rs.rho)
+
+
+def _buckets_by_pairings(rs, p: int, lam: Weight) -> dict[int, int]:
+    """Degree totals from one pairing matrix, without any reflection."""
+    vecs, counts = sum_vectors(rs, p)
+    rows = pairings(rs, vecs + np.array(lam.coords) + 1).tolist()
+    buckets: dict[int, int] = {}
+    for row, mult in zip(rows, counts.tolist()):
+        if 0 in row:
+            continue
+        q = sum(1 for v in row if v < 0)
+        dim, rem = divmod(abs(prod(row)), rs.rho_denominator)
+        assert rem == 0
+        buckets[q] = buckets.get(q, 0) + dim * mult
+    return buckets
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_e1_page_agrees_with_one_pairing_matrix(data):
+    # singular iff a pairing of x = mu + lam + rho is 0, degree = the
+    # negative pairings, dimension = |prod of the pairings| / prod (rho, gamma^v)
+    rs = root_system(data.draw(st.sampled_from(all_simple_types(4))))
+    p = data.draw(st.integers(0, rs.num_positive_roots))
+    lam = Weight(data.draw(st.tuples(*[st.integers(-3, 3) for _ in range(rs.rank)])))
+    page = e1_page(rs, p, lam)
+    expected = _buckets_by_pairings(rs, p, lam)
+    assert list(page.buckets.items()) == sorted(expected.items())
+    assert page.euler == sum((-1) ** q * v for q, v in expected.items())
+    assert page.concentrated == (len(expected) <= 1)
 
 
 def test_g2_page_at_witness_weight():
