@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add
 from typing import Sequence
 
 import numpy as np
@@ -69,10 +70,6 @@ class WeightMultiset:
     @property
     def total(self) -> int:
         return sum(m for _, m in self.entries)
-
-    def translate(self, lam: Weight) -> "WeightMultiset":
-        """Add lam to every weight; a translation keeps lexicographic order."""
-        return WeightMultiset(self.p, tuple((w + lam, m) for w, m in self.entries))
 
     def to_json_dict(self) -> dict:
         return {
@@ -307,10 +304,21 @@ def phi_sums(rs: RootSystem, p: int, sign: str = "-") -> WeightMultiset:
 
 
 def lambda_p_weights(rs: RootSystem, p: int, lam: Weight) -> WeightMultiset:
-    """Weights of Lambda^p n- tensored by the character lam."""
-    if len(lam.coords) != rs.rank:
-        raise ExteriorError(f"weight has {len(lam.coords)} coordinates")
-    return phi_sums(rs, p).translate(lam)
+    """Weights of Lambda^p n- tensored by the character lam.
+
+    The rows of :func:`sum_vectors` are translated by lam in Python ints, so
+    the weights are exact for any size of lam; a translation keeps
+    lexicographic order.
+    """
+    shift = lam.coords
+    if len(shift) != rs.rank:
+        raise ExteriorError(f"weight has {len(shift)} coordinates")
+    vecs, counts = sum_vectors(rs, p)
+    entries = tuple(
+        (Weight(tuple(map(add, row, shift))), mult)
+        for row, mult in zip(vecs.tolist(), counts.tolist())
+    )
+    return WeightMultiset(p=p, entries=entries)
 
 
 def greedy_column_profile(rs: RootSystem, p: int) -> tuple[int, ...]:

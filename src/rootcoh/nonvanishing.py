@@ -18,12 +18,11 @@ conclusion is standard bookkeeping and is not re-derived.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
 from typing import Mapping
 
 import numpy as np
 
-from .exterior import ExteriorError, sum_vectors
+from .exterior import lambda_p_weights
 from .rootsys import Root, RootSystem, Weight, SCHEMA
 from .weyl import BwbOutcome, bwb, pairing
 
@@ -301,22 +300,19 @@ class E1Page:
 def e1_page(rs: RootSystem, p: int, lam: Weight) -> E1Page:
     """Regularize every weight of Lambda^p n- (x) k_lam and total by degree.
 
-    The weights are read once from :func:`sum_vectors
-    <rootcoh.exterior.sum_vectors>` and translated by lam in Python ints,
-    so the page is exact for any size of lam; each distinct weight goes
-    through :func:`bwb` once.  Buckets sum dimension times multiplicity per
-    cohomology degree.  When at most one bucket is nonzero the filtration
-    leaves no room for cancellation, so the buckets are the exact cohomology
-    dimensions.  A lam of the wrong length, or ``p`` outside ``[0, N]``,
-    raises :class:`ExteriorError <rootcoh.exterior.ExteriorError>`.
+    The weights come from :func:`lambda_p_weights
+    <rootcoh.exterior.lambda_p_weights>`, exact for any size of lam; each
+    distinct weight goes through :func:`bwb` once.  Buckets sum dimension
+    times multiplicity per cohomology degree.  When at most one bucket is
+    nonzero the filtration leaves no room for cancellation, so the buckets
+    are the exact cohomology dimensions.  A lam of the wrong length, or
+    ``p`` outside ``[0, N]``, raises :class:`ExteriorError
+    <rootcoh.exterior.ExteriorError>`.
     """
-    shift = lam.coords
-    if len(shift) != rs.rank:
-        raise ExteriorError(f"weight has {len(shift)} coordinates")
-    vecs, counts = sum_vectors(rs, p)
+    ms = lambda_p_weights(rs, p, lam)
     buckets: dict[int, int] = {}
-    for row, mult in zip(vecs.tolist(), counts.tolist()):
-        outcome = bwb(rs, Weight(tuple(map(add, row, shift))))
+    for w, mult in ms.entries:
+        outcome = bwb(rs, w)
         if outcome.is_singular:
             continue
         buckets[outcome.degree] = buckets.get(outcome.degree, 0) + outcome.dim * mult

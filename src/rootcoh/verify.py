@@ -341,11 +341,7 @@ def check_certificates() -> CriterionResult:
 
 
 def check_rho_top_degree() -> CriterionResult:
-    """Criterion 8: at lam = rho and p = d - 1 everything is singular off A2.
-
-    The weights of ``Lambda^{d-1} n- (x) k_rho`` are ``gamma - rho``, one per
-    positive root gamma, so an empty page means each of them is singular.
-    """
+    """Criterion 8: at lam = rho and p = d - 1 everything is singular off A2."""
     t0 = time.perf_counter()
     problems = []
     for name in RHO_TYPES:
@@ -354,6 +350,12 @@ def check_rho_top_degree() -> CriterionResult:
         page = e1_page(rs, d - 1, rs.rho)
         if page.buckets:
             problems.append(f"{name}: buckets {page.buckets} not empty")
+        else:
+            for gamma in rs.positive_roots:
+                out = bwb(rs, gamma.weight - rs.rho)
+                if not out.is_singular:
+                    problems.append(f"{name}: weight from {gamma.root_coords} regular")
+                    break
     a2 = root_system("A2")
     page = e1_page(a2, 2, a2.rho)
     if not page.buckets:
