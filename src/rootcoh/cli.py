@@ -10,6 +10,7 @@ engine's working-set cap or int64 multiplicities (one ``refused:`` line).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -35,6 +36,14 @@ USAGE_ERROR = 2
 
 class UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises :class:`UsageError` instead of printing
+    a usage block and exiting; subparsers inherit the class."""
+
+    def error(self, message: str):
+        raise UsageError(message)
 
 
 def _parse_lambda(rs: RootSystem, text: str | None) -> Weight:
@@ -298,8 +307,13 @@ def _cmd_verify_all(args) -> int:
     return 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The command line parser, built once per process on first use.
+
+    Parsing keeps no state on the parser, so every :func:`main` call shares it.
+    """
+    parser = _Parser(
         prog="rootcoh",
         description=(
             "Exact root-system tables, cohomology-degree bookkeeping, vanishing "
@@ -384,16 +398,14 @@ def _join_lambda(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
     argv = _join_lambda(list(argv))
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return USAGE_ERROR if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         return _HANDLERS[args.command](args)
+    except SystemExit as exc:  # from parse_args: -h and --version
+        return USAGE_ERROR if exc.code not in (0, None) else 0
     except (
         UsageError,
         ExteriorError,

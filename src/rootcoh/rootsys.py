@@ -26,8 +26,6 @@ from functools import cached_property, lru_cache
 from math import prod
 from typing import Iterator, Sequence
 
-import numpy as np
-
 SCHEMA = "rootcoh/1"
 
 #: Number of positive roots per family, used as a construction self-check.
@@ -281,11 +279,38 @@ class RootSystem:
         return tuple(r.coroot_coords for r in self.positive_roots)
 
     @cached_property
-    def coroot_matrix(self) -> np.ndarray:
-        """:attr:`coroot_rows` as a read-only int64 array."""
-        mat = np.array(self.coroot_rows, dtype=np.int64)
-        mat.flags.writeable = False
-        return mat
+    def coroot_chain(self) -> tuple[tuple[int, int, int], ...]:
+        """One step ``(k, j, i)`` per positive coroot, each computed from an earlier one.
+
+        ``coroot_rows[k] == coroot_rows[j] + e_i``, where ``j == -1`` stands
+        for the zero vector, so the simple coroot ``e_i`` has ``j == -1``.
+        Steps run by ascending coroot height, so ``j`` is the ``k`` of an
+        earlier step.  Every positive coroot but a simple one is a positive
+        coroot plus a simple coroot (the coroots form the dual root system);
+        raises :class:`RootSystemError` if some coroot has no such predecessor.
+        """
+        rows = self.coroot_rows
+        seen: dict[tuple[int, ...], int] = {(0,) * self.rank: -1}
+        steps = []
+        for k in sorted(range(len(rows)), key=lambda k: sum(rows[k])):
+            row = rows[k]
+            for i, c in enumerate(row):
+                j = seen.get(row[:i] + (c - 1,) + row[i + 1 :]) if c else None
+                if j is not None:
+                    steps.append((k, j, i))
+                    break
+            else:
+                raise RootSystemError(
+                    f"{self.simple_type}: coroot {row} is no earlier coroot plus a simple one"
+                )
+            seen[row] = k
+        return tuple(steps)
+
+    @cached_property
+    def max_coroot_height(self) -> int:
+        """The largest coroot height: the largest absolute row sum of
+        :attr:`coroot_rows`, so ``|(x, gamma^v)| <= max|x| * max_coroot_height``."""
+        return max(map(sum, self.coroot_rows))
 
     @cached_property
     def rho_denominator(self) -> int:

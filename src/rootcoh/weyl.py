@@ -7,10 +7,15 @@ until ``x`` is strictly dominant.  The number of reflections applied is the
 unique cohomology degree in which the line bundle has sections.
 
 :func:`pairings` is the one batched primitive: it pairs many weights with
-every positive coroot in a single int64 matrix product, refusing inputs
-whose products could leave int64.  From one pairing matrix a row is
-singular iff it holds a 0, and its degree is the number of negative entries
-(the inversion count).
+every positive coroot in int64.  It follows
+:attr:`~rootcoh.rootsys.RootSystem.coroot_chain`: each positive coroot is an
+earlier one plus a simple coroot, so each column of the result is an earlier
+column plus one column of the input, one vector add per positive root.
+Every partial sum is itself the pairing with some positive coroot, so the
+one guard on ``max|x|`` times the largest coroot height, checked before any
+add, covers every intermediate.  From one pairing matrix a row is singular
+iff it holds a 0, and its degree is the number of negative entries (the
+inversion count).
 """
 
 from __future__ import annotations
@@ -83,21 +88,32 @@ def pairing(rs: RootSystem, mu: Weight | Sequence[int], gamma: Root) -> int:
 
 
 def pairings(rs: RootSystem, X) -> np.ndarray:
-    """All pairings (x, gamma^v): the int64 matrix ``X @ C.T``.
+    """All pairings (x, gamma^v) as an int64 matrix, the values of ``X @ C.T``.
 
     Row i of the result pairs row i of ``X`` with every positive coroot, in
-    canonical root order.  Raises :class:`WeylError` before the product when
-    ``max|X|`` times the largest absolute row sum of ``C`` could leave int64.
+    canonical root order.  Raises :class:`WeylError` before any arithmetic
+    when ``max|X|`` times :attr:`~rootcoh.rootsys.RootSystem.max_coroot_height`
+    could leave int64.  Column ``k`` is built as column ``j`` plus column
+    ``i`` of ``X`` for each step ``(k, j, i)`` of
+    :attr:`~rootcoh.rootsys.RootSystem.coroot_chain`; each partial sum is a
+    final entry, so none can pass the guarded bound.  The result is the
+    transpose of a C-ordered array: each column is contiguous.
     """
     X = np.asarray(X)
     if X.ndim != 2 or X.shape[1] != rs.rank:
         raise WeylError(f"pairings need rows of {rs.rank} coordinates, got shape {X.shape}")
-    mat = rs.coroot_matrix
     if X.size:
         top = max(int(X.max()), -int(X.min()))
-        if top * int(np.abs(mat).sum(axis=1).max()) >= 2**63:
+        if top * rs.max_coroot_height >= 2**63:
             raise WeylError(f"pairings of entries up to {top} could overflow int64")
-    return X.astype(np.int64, copy=False) @ mat.T
+    cols = list(np.ascontiguousarray(X.T, dtype=np.int64))
+    # one spare zero row: a simple coroot's step reads its j = -1 there
+    out = np.empty((rs.num_positive_roots + 1, X.shape[0]), dtype=np.int64)
+    out[-1] = 0
+    rows = list(out)  # row views made once, not once per step
+    for k, j, i in rs.coroot_chain:
+        np.add(rows[j], cols[i], out=rows[k])
+    return out[:-1].T
 
 
 def weyl_dim(rs: RootSystem, lam: Weight) -> int:

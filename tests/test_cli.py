@@ -5,7 +5,7 @@ import json
 import pytest
 
 from rootcoh import exterior, root_system
-from rootcoh.cli import main
+from rootcoh.cli import build_parser, main
 from rootcoh.rootsys import rs_from_json_dict
 
 
@@ -196,6 +196,10 @@ def test_verify_all_json(capsys):
         ("check-t1", "A2", "-p", "1", "--lambda", "9223372036854775808,0"),
         ("check-t1", "A2", "-p", "1", "--lambda", "9223372036854775807,0"),
         ("phi", "A63", "-p", "1"),
+        ("check-t1", "A2", "-p", "x", "--lambda", "1,1"),
+        ("check-t1", "A2", "-p", "1", "--lambda", "1,1", "--bogus"),
+        ("e1",),
+        ("e1", "A2", "-p", "1", "--lambda"),
     ],
 )
 def test_out_of_contract_input_is_one_line_usage_error(capsys, argv):
@@ -220,3 +224,21 @@ def test_out_of_contract_input_is_one_line_usage_error(capsys, argv):
 def test_flags_only_where_they_act(capsys, argv):
     code, _, _ = run(capsys, *argv)
     assert code == 2
+
+
+def test_the_shared_parser_keeps_no_state(capsys):
+    assert build_parser() is build_parser()
+    calls = [
+        ("check-t1", "A3", "-p", "2", "--lambda", "2,2,2", "--witnesses"),
+        ("check-t1", "A2", "-p", "x", "--lambda", "1,1"),
+        ("--version",),
+        ("check-t1", "A2", "-p", "1", "--lambda", "-1,0"),
+    ]
+    alone = []
+    for argv in calls:
+        build_parser.cache_clear()  # each call on a parser of its own
+        alone.append(run(capsys, *argv))
+    assert [code for code, _, _ in alone] == [0, 2, 0, 2]
+    build_parser.cache_clear()
+    shared = [run(capsys, *argv) for argv in calls + calls[:1]]
+    assert shared == alone + alone[:1]

@@ -1,5 +1,6 @@
 """Construction, dual coordinates, and Coxeter data of the root catalogues."""
 
+import dataclasses
 import json
 
 import pytest
@@ -12,7 +13,7 @@ from rootcoh import (
     column_stats,
     root_system,
 )
-from rootcoh.rootsys import Weight, rs_from_json_dict, rs_to_json_dict
+from rootcoh.rootsys import Weight, build_root_system, rs_from_json_dict, rs_to_json_dict
 
 G2_TABLE = {
     ((1, 0), (2, -3)),
@@ -202,3 +203,27 @@ def test_weight_helpers():
     assert Weight.of(0, 0).is_dominant
     assert not Weight.of(0, 1).is_strictly_dominant
     assert Weight.of(2, 1).is_strictly_dominant
+
+
+def test_coroot_chain_builds_each_coroot_from_an_earlier_one():
+    for t in all_simple_types(8) + [SimpleType("A", 20)]:
+        rs = build_root_system(t)
+        n = rs.rank
+        built = {-1: (0,) * n}
+        for k, j, i in rs.coroot_chain:
+            assert k not in built
+            assert j in built  # j is computed before k
+            unit = tuple(int(a == i) for a in range(n))
+            assert rs.coroot_rows[k] == tuple(map(sum, zip(built[j], unit)))
+            built[k] = rs.coroot_rows[k]
+        assert sorted(built) == [-1, *range(rs.num_positive_roots)]
+        assert rs.max_coroot_height == max(sum(row) for row in rs.coroot_rows)
+    # built on first use, not with the catalogue
+    assert "coroot_chain" not in vars(build_root_system.__wrapped__(SimpleType("E", 8)))
+
+
+def test_coroot_chain_refuses_a_coroot_with_no_predecessor():
+    a2 = build_root_system(SimpleType("A", 2))
+    top_only = dataclasses.replace(a2, positive_roots=a2.positive_roots[2:])
+    with pytest.raises(RootSystemError, match="no earlier coroot"):
+        top_only.coroot_chain

@@ -70,14 +70,25 @@ def test_bwb_singular_iff_coroot_scan():
 
 def test_pairings_match_pairing():
     rng = random.Random(11)
-    for name in ("A1", "A3", "B4", "C3", "D5", "E6", "F4", "G2"):
+    for name in ("A1", "A3", "B4", "C3", "D5", "E6", "E8", "F4", "G2", "A20"):
         rs = root_system(name)
-        X = [[rng.randint(-50, 50) for _ in range(rs.rank)] for _ in range(20)]
-        got = pairings(rs, X)
-        assert got.dtype == np.int64
-        assert got.tolist() == [
-            [pairing(rs, x, r) for r in rs.positive_roots] for x in X
-        ]
+        n = rs.rank
+        # every other column of a wider array: a non-contiguous X
+        wide = np.array(
+            [[rng.randint(-50, 50) for _ in range(2 * n)] for _ in range(20)]
+            + [[-1] * (2 * n), [-(2**40)] * (2 * n)],
+            dtype=np.int64,
+        )
+        for X in (wide[:, ::2], wide[:, :n].tolist()):
+            got = pairings(rs, X)
+            assert got.dtype == np.int64
+            assert got.shape == (len(X), rs.num_positive_roots)
+            assert got.tolist() == [
+                [pairing(rs, list(x), r) for r in rs.positive_roots] for x in X
+            ]
+        empty = pairings(rs, wide[:0, ::2])
+        assert empty.dtype == np.int64
+        assert empty.shape == (0, rs.num_positive_roots)
 
 
 def test_pairings_refuse_overflow():
@@ -107,9 +118,10 @@ def test_cached_tables_survive_a_json_round_trip():
         assert rebuilt.rho_denominator == rs.rho_denominator
         rho_pairings = [pairing(rs, rs.rho, r) for r in rs.positive_roots]
         assert rs.rho_denominator == prod(rho_pairings)
-        assert rebuilt.coroot_matrix is rebuilt.coroot_matrix
+        assert rebuilt.coroot_chain is rebuilt.coroot_chain
+        assert rebuilt.coroot_chain == rs.coroot_chain
+        assert rebuilt.max_coroot_height == rs.max_coroot_height
         coroots = [list(r.coroot_coords) for r in rs.positive_roots]
-        assert rebuilt.coroot_matrix.tolist() == coroots
         assert [list(row) for row in rebuilt.coroot_rows] == coroots
         simple = [rs.simple_root(i) for i in range(n)]
         assert [rebuilt.simple_root(i) for i in range(n)] == simple
