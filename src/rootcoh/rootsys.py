@@ -269,9 +269,37 @@ class RootSystem:
 
     @cached_property
     def simple_weight_rows(self) -> tuple[tuple[int, ...], ...]:
-        """weight_coords of each simple root, i.e. the columns of cartan."""
+        """weight_coords of each simple root, i.e. the columns of cartan.
+
+        Reflecting at node ``i`` subtracts ``x[i]`` times row ``i`` from a
+        weight ``x``.  Criterion 9's ``|W|`` oracle builds the group from
+        these dense rows, so it shares no code with the sparse
+        :attr:`reflection_table` that :func:`~rootcoh.weyl.bwb` reads.
+        """
         n = self.rank
         return tuple(tuple(self.cartan[a][i] for a in range(n)) for i in range(n))
+
+    @cached_property
+    def reflection_table(self) -> tuple[int, int, tuple[tuple[tuple[int, int], ...], ...]]:
+        """``(rank, N, neighbours)``: what one simple reflection changes.
+
+        ``N`` is :attr:`num_positive_roots`, the longest reduced word, so at
+        most ``N`` reflections regularize a weight.  ``neighbours[i]`` lists
+        ``(j, a)`` for each Dynkin neighbour ``j`` of node ``i``, with
+        ``a = simple_weight_rows[i][j] != 0``.  Reflecting ``x`` at ``i``
+        sets ``x[i] = -x[i]`` (the diagonal entry is 2) and ``x[j] -= x[i] * a``
+        at each neighbour; no other coordinate moves.  Raises
+        :class:`RootSystemError` if a diagonal entry is not 2.
+        """
+        rows = self.simple_weight_rows
+        n = self.rank
+        if any(rows[i][i] != 2 for i in range(n)):
+            raise RootSystemError(f"{self.simple_type}: cartan diagonal is not 2")
+        neighbours = tuple(
+            tuple((j, a) for j, a in enumerate(row) if a and j != i)
+            for i, row in enumerate(rows)
+        )
+        return n, self.num_positive_roots, neighbours
 
     @cached_property
     def coroot_rows(self) -> tuple[tuple[int, ...], ...]:

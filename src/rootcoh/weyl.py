@@ -4,25 +4,29 @@ The central routine is :func:`bwb`: starting from ``x = lam + rho`` it either
 finds a zero coordinate (the weight is singular and all cohomology of the
 line bundle vanishes) or applies simple reflections at negative coordinates
 until ``x`` is strictly dominant.  The number of reflections applied is the
-unique cohomology degree in which the line bundle has sections.
+unique cohomology degree in which the line bundle has sections.  A simple
+reflection negates one coordinate and moves only its Dynkin neighbours
+(:attr:`~rootcoh.rootsys.RootSystem.reflection_table`), so each step is a
+sparse update in Python ints and only the moved coordinates are checked for
+a new zero.
 
-:func:`pairings` is the one batched primitive: it pairs many weights with
-every positive coroot in int64.  It follows
-:attr:`~rootcoh.rootsys.RootSystem.coroot_chain`: each positive coroot is an
-earlier one plus a simple coroot, so each column of the result is an earlier
-column plus one column of the input, one vector add per positive root.
-Every partial sum is itself the pairing with some positive coroot, so the
-one guard on ``max|x|`` times the largest coroot height, checked before any
-add, covers every intermediate.  From one pairing matrix a row is singular
-iff it holds a 0, and its degree is the number of negative entries (the
-inversion count).
+One table, :attr:`~rootcoh.rootsys.RootSystem.coroot_chain`, feeds both
+pairing routines: each positive coroot is an earlier one plus a simple
+coroot, so each pairing is an earlier pairing plus one coordinate, one add
+per positive root.  :func:`weyl_dim` follows it in exact Python ints for one
+weight.  :func:`pairings` is the one batched primitive: it pairs many
+weights with every positive coroot in int64, one vector add per positive
+root.  Every partial sum is itself the pairing with some positive coroot, so
+the one guard on ``max|x|`` times the largest coroot height, checked before
+any add, covers every intermediate.  From one pairing matrix a row is
+singular iff it holds a 0, and its degree is the number of negative entries
+(the inversion count).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
-from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -119,17 +123,26 @@ def pairings(rs: RootSystem, X) -> np.ndarray:
 def weyl_dim(rs: RootSystem, lam: Weight) -> int:
     """Dimension of the irreducible representation with highest weight lam.
 
-    Computed as the exact product over positive roots of
-    (lam + rho, gamma^v) / (rho, gamma^v); the normalisation of each coroot
-    cancels factor by factor, and the quotient of the two big-integer
-    products is always integral.
+    The exact Python-int product over positive roots of
+    ``(lam + rho, gamma^v)``, divided by ``prod (rho, gamma^v)``
+    (:attr:`~rootcoh.rootsys.RootSystem.rho_denominator`).  The pairings
+    follow :attr:`~rootcoh.rootsys.RootSystem.coroot_chain`: each is an
+    earlier one plus one coordinate of ``lam + rho``, one add per positive
+    root.  Raises :class:`WeylError` on a wrong length, on a weight that is
+    not dominant, and if the quotient is not integral (the normalisation of
+    each coroot cancels factor by factor, so it always is).
     """
     if len(lam.coords) != rs.rank:
         raise WeylError(f"weight has {len(lam.coords)} coordinates, expected {rs.rank}")
     if not lam.is_dominant:
         raise WeylError(f"weyl_dim needs a dominant weight, got {lam}")
     xp = [c + 1 for c in lam.coords]
-    num = prod([sum(map(mul, row, xp)) for row in rs.coroot_rows])
+    # one spare zero at the end: a simple coroot's step reads its j = -1 there
+    v = [0] * (rs.num_positive_roots + 1)
+    for k, j, i in rs.coroot_chain:
+        v[k] = v[j] + xp[i]
+    v.pop()
+    num = prod(v)
     den = rs.rho_denominator
     q, rem = divmod(num, den)
     if rem:
@@ -142,25 +155,39 @@ def bwb(rs: RootSystem, lam: Weight) -> BwbOutcome:
 
     Repeatedly applies the simple reflection at the negative coordinate of
     smallest index.  A zero coordinate at any stage means the weight is
-    singular.  Otherwise the number of reflections, at most ``|Phi+|``, is the
-    length of the Weyl element that makes lam + rho strictly dominant.
+    singular.  Otherwise the number of reflections, at most ``N = |Phi+|``,
+    is the length of the Weyl element that makes lam + rho strictly
+    dominant, and the dimension comes from :func:`weyl_dim`.
+
+    A reflection at ``i`` negates ``x[i]`` and moves only the Dynkin
+    neighbours of ``i`` (:attr:`~rootcoh.rootsys.RootSystem.reflection_table`),
+    so ``x`` is scanned for a zero once, and afterwards only the neighbours
+    are.  Raises :class:`WeylError` on a wrong length, and if ``x`` is
+    neither singular nor dominant after ``N`` reflections (which a table of
+    a finite Weyl group never allows).
     """
-    if len(lam.coords) != rs.rank:
-        raise WeylError(f"weight has {len(lam.coords)} coordinates, expected {rs.rank}")
-    rows = rs.simple_weight_rows
+    n, bound, neighbours = rs.reflection_table
+    if len(lam.coords) != n:
+        raise WeylError(f"weight has {len(lam.coords)} coordinates, expected {n}")
     x = [c + 1 for c in lam.coords]
-    limit = rs.num_positive_roots + 1
-    for steps in range(limit + 1):
-        if 0 in x:
-            return _SINGULAR
+    if 0 in x:
+        return _SINGULAR
+    for steps in range(bound + 1):
         for i, c in enumerate(x):
             if c < 0:
                 break
         else:
-            dominant = Weight(tuple(c - 1 for c in x))
+            dominant = Weight(tuple([c - 1 for c in x]))
             return BwbOutcome.concentrated(steps, dominant, weyl_dim(rs, dominant))
-        x = [a - c * r for a, r in zip(x, rows[i])]
-    raise WeylError(f"regularization of {lam} did not terminate in {limit} steps")
+        if steps == bound:
+            break
+        x[i] = -c
+        for j, a in neighbours[i]:
+            y = x[j] - c * a
+            if not y:
+                return _SINGULAR
+            x[j] = y
+    raise WeylError(f"regularization of {lam} did not terminate in {bound} reflections")
 
 
 def degree_by_inversions(rs: RootSystem, lam: Weight) -> int | None:

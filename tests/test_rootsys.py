@@ -227,3 +227,24 @@ def test_coroot_chain_refuses_a_coroot_with_no_predecessor():
     top_only = dataclasses.replace(a2, positive_roots=a2.positive_roots[2:])
     with pytest.raises(RootSystemError, match="no earlier coroot"):
         top_only.coroot_chain
+
+
+def test_reflection_table_lists_the_dynkin_neighbours():
+    for t in all_simple_types(8) + [SimpleType("A", 20)]:
+        rs = build_root_system(t)
+        n, bound, neighbours = rs.reflection_table
+        assert (n, bound, len(neighbours)) == (rs.rank, rs.num_positive_roots, rs.rank)
+        for i, row in enumerate(rs.simple_weight_rows):
+            assert row[i] == 2
+            assert dict(neighbours[i]) == {j: a for j, a in enumerate(row) if j != i and a}
+            # a reflection moves node i and its neighbours only
+            x = list(range(3, 3 + n))
+            moved = [a - x[i] * r for a, r in zip(x, row)]
+            assert {j for j in range(n) if moved[j] != x[j]} == {i, *dict(neighbours[i])}
+
+
+def test_reflection_table_refuses_a_diagonal_other_than_two():
+    a2 = build_root_system(SimpleType("A", 2))
+    bent = dataclasses.replace(a2, cartan=((1, -1), (-1, 2)))
+    with pytest.raises(RootSystemError, match="diagonal"):
+        bent.reflection_table

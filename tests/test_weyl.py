@@ -4,13 +4,21 @@ import itertools
 import json
 import random
 from math import prod
+from operator import mul
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rootcoh import bwb, pairing, pairings, root_system, weyl_dim
-from rootcoh.rootsys import Weight, all_simple_types, rs_from_json_dict, rs_to_json_dict
+from rootcoh.rootsys import (
+    SimpleType,
+    Weight,
+    all_simple_types,
+    build_root_system,
+    rs_from_json_dict,
+    rs_to_json_dict,
+)
 from rootcoh.weyl import BwbOutcome, WeylError, degree_by_inversions
 
 
@@ -126,6 +134,69 @@ def test_cached_tables_survive_a_json_round_trip():
         simple = [rs.simple_root(i) for i in range(n)]
         assert [rebuilt.simple_root(i) for i in range(n)] == simple
         assert weyl_dim(rebuilt, rs.rho) == weyl_dim(rs, rs.rho) == 2**rs.num_positive_roots
+        assert rebuilt.reflection_table is rebuilt.reflection_table
+        assert rebuilt.reflection_table == rs.reflection_table
+        fresh = build_root_system.__wrapped__(rs.simple_type)
+        assert "reflection_table" not in vars(fresh)
+
+
+#: Every type the exactness tests sweep: all of rank <= 8, and one long A chain.
+SWEPT = all_simple_types(8) + [SimpleType("A", 20)]
+
+
+def test_bwb_minus_two_rho_takes_exactly_n_reflections():
+    # lam + rho = -rho: the longest element w0 sends it to rho, in N steps,
+    # so the reflection bound is met and not passed
+    for t in SWEPT:
+        rs = root_system(t)
+        out = bwb(rs, Weight((-2,) * rs.rank))
+        assert out == BwbOutcome.concentrated(rs.num_positive_roots, Weight.zero(rs.rank), 1)
+
+
+def test_bwb_refuses_a_table_of_an_infinite_group():
+    a2 = root_system("A2")
+    rebuilt = rs_from_json_dict(json.loads(json.dumps(rs_to_json_dict(a2))))
+    assert bwb(rebuilt, Weight.of(-2, 0)) == bwb(a2, Weight.of(-2, 0))
+    # cartan entries -3 on both sides of the edge: an infinite Coxeter group,
+    # where (-1, 1) reflects to (1, -2), (-5, 2), (5, -13), ... and never
+    # becomes dominant or singular
+    vars(rebuilt)["reflection_table"] = (2, 3, (((1, -3),), ((0, -3),)))
+    with pytest.raises(WeylError, match="did not terminate in 3 reflections"):
+        bwb(rebuilt, Weight.of(-2, 0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_bwb_is_exact_past_int64(data):
+    # long reflection paths on coordinates where an int64 update would wrap;
+    # pairings() refuses these, so the oracle is the Python-int pairing
+    rs = root_system(data.draw(st.sampled_from(all_simple_types(8))))
+    coord = st.one_of(st.integers(-8, 8), st.integers(-(2**70), 2**70))
+    lam = Weight(data.draw(st.tuples(*[coord for _ in range(rs.rank)])))
+    x = [c + 1 for c in lam.coords]
+    row = [pairing(rs, x, r) for r in rs.positive_roots]
+    out = bwb(rs, lam)
+    assert out.degree == degree_by_inversions(rs, lam)
+    assert out.is_singular == (0 in row)
+    if out.is_singular:
+        return
+    dim, rem = divmod(abs(prod(row)), rs.rho_denominator)
+    assert rem == 0 and out.dim == dim
+    image = [pairing(rs, [c + 1 for c in out.dominant.coords], r) for r in rs.positive_roots]
+    assert sorted(abs(v) for v in row) == sorted(image)
+
+
+def test_weyl_dim_matches_the_dense_product():
+    rng = random.Random(12)
+    ranges = ((0, 6), (0, 2**64), (2**63, 2**63 + 9))
+    for t in SWEPT:
+        rs = root_system(t)
+        for lo, hi in ranges * 4:
+            lam = Weight(tuple(rng.randint(lo, hi) for _ in range(rs.rank)))
+            xp = [c + 1 for c in lam.coords]
+            num = prod(sum(map(mul, row, xp)) for row in rs.coroot_rows)
+            assert weyl_dim(rs, lam) == num // rs.rho_denominator
+            assert num % rs.rho_denominator == 0
 
 
 def test_bwb_degree_matches_inversion_count():
