@@ -320,22 +320,3 @@ def lambda_p_weights(rs: RootSystem, p: int, lam: Weight) -> WeightMultiset:
     )
     return WeightMultiset(p=p, entries=entries)
 
-
-def greedy_column_profile(rs: RootSystem, p: int) -> tuple[int, ...]:
-    """Per-column maxima of the pairings over all sums of p distinct positive roots.
-
-    Coordinate i of the result is the largest value of (mu, alpha_i^v) as mu
-    ranges over the degree-p sums.  The subset attaining it is the p roots
-    with the largest entries in column i, so it is the sum of those entries
-    and needs no enumeration.  The tests compare :func:`prop2_threshold
-    <rootcoh.vanishing.prop2_threshold>` with these maxima less 1.
-    """
-    n = rs.num_positive_roots
-    if not 0 <= p <= n:
-        raise ExteriorError(f"p must lie in [0, {n}], got {p}")
-    out = []
-    for i in range(rs.rank):
-        col = sorted((r.weight.coords[i] for r in rs.positive_roots), reverse=True)
-        out.append(sum(col[:p]))
-    return tuple(out)
-

@@ -23,6 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from math import prod
 from typing import Iterator, Sequence
 
@@ -339,6 +340,17 @@ class RootSystem:
         """The largest coroot height: the largest absolute row sum of
         :attr:`coroot_rows`, so ``|(x, gamma^v)| <= max|x| * max_coroot_height``."""
         return max(map(sum, self.coroot_rows))
+
+    @cached_property
+    def column_profile(self) -> tuple[tuple[int, ...], ...]:
+        """Row ``p`` holds ``M_i(p)`` for every column ``i``, ``0 <= p <= N``: the
+        largest sum of ``p`` entries in column ``i`` of the positive-root weight
+        rows.  The ``p`` largest entries attain it, so one descending sort and
+        one running sum per column give every ``p`` at once.
+        """
+        columns = zip(*(r.weight.coords for r in self.positive_roots))
+        sums = (accumulate(sorted(col, reverse=True), initial=0) for col in columns)
+        return tuple(zip(*sums))
 
     @cached_property
     def rho_denominator(self) -> int:

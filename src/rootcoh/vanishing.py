@@ -7,8 +7,9 @@ lam + mu + rho pairs to zero with some positive coroot (singular), or neither
 twisted (p, q) cohomology for all q >= 1.
 
 ``prop2_threshold`` gives closed-form per-coordinate lower bounds on lam that
-guarantee a pass, family by family; ``corollary_bound`` gives the p-free
-bounds h_alpha - 1 and h - 1.
+guarantee a pass on every type, read off the column profile of the
+positive-root weight rows; ``corollary_bound`` gives the p-free bounds
+h_alpha - 1 and h - 1.
 """
 
 from __future__ import annotations
@@ -169,148 +170,28 @@ def check_theorem1(rs: RootSystem, p: int, lam: Weight) -> VanishingReport:
     )
 
 
-def _clamped(values: list[int]) -> tuple[int, ...]:
-    return tuple(max(0, v) for v in values)
-
-
-def _thresholds_a(n: int, p: int) -> tuple[int, ...]:
-    if p <= n - 1:
-        v = p
-    elif p <= (n * n - n + 2) // 2:
-        v = n
-    else:
-        v = (n * n + n + 2 - 2 * p) // 2
-    return _clamped([v] * n)
-
-
-def _thresholds_b(n: int, p: int) -> tuple[int, ...]:
-    # a: the n-1 long coordinates, b: the short last coordinate
-    if p <= n - 1:
-        a, b = p, 2 * p - 1
-    elif p <= 2 * n - 3:
-        a, b = p, 2 * n - 1
-    elif p <= n * n - 2 * n + 3:
-        a, b = 2 * n - 2, 2 * n - 1
-    elif p <= n * n - n + 1:
-        a, b = n * n + 1 - p, 2 * n - 1
-    else:
-        a, b = n * n + 1 - p, 2 * n * n + 1 - 2 * p
-    return _clamped([a] * (n - 1) + [b])
-
-
-def _thresholds_c(n: int, p: int) -> tuple[int, ...]:
-    # a: the n-1 short coordinates, b: the long last coordinate
-    if p == 0:
-        a = b = 0
-    elif p <= 2:
-        a, b = 2 * p - 1, p
-    elif p <= n - 1:
-        a, b = p + 1, p
-    elif p <= 2 * n - 3:
-        a, b = p + 1, n
-    elif p <= n * n - 2 * n + 3:
-        a, b = 2 * n - 1, n
-    elif p <= n * n - 1:
-        # short columns hold 2n-4 entries of -1 and a single -2, so their
-        # maximum drops by one per extra root until the very last degree
-        a = n * n + 2 - p
-        b = n if p <= n * n - n + 1 else n * n + 1 - p
-    else:
-        a, b = 1, 1
-    return _clamped([a] * (n - 1) + [b])
-
-
-def _thresholds_d(n: int, p: int) -> tuple[int, ...]:
-    if p <= 2 * n - 4:
-        v = p
-    elif p <= n * n - 3 * n + 4:
-        v = 2 * n - 3
-    else:
-        v = n * n - n + 1 - p
-    return _clamped([v] * n)
-
-
-def _thresholds_e(n: int, p: int) -> tuple[int, ...]:
-    cap = {6: 11, 7: 17, 8: 29}[n]
-    top = {6: 36, 7: 63, 8: 120}[n]
-    if p <= cap - 1:
-        v = p
-    elif p <= top - cap + 1:
-        v = cap
-    else:
-        v = top + 1 - p
-    return _clamped([v] * n)
-
-
-def _thresholds_f(p: int) -> tuple[int, ...]:
-    # a: the two long coordinates, b: the two short coordinates
-    if p <= 4:
-        a, b = p, 2 * p - 1
-    elif p <= 7:
-        a, b = p, p + 3
-    elif p <= 17:
-        a, b = 8, 11
-    elif p <= 21:
-        # short columns lose their four -1 entries one root at a time
-        a, b = 25 - p, 28 - p
-    else:
-        # then the three -2 entries take over, two units per extra root
-        a, b = 25 - p, 49 - 2 * p
-    return _clamped([a, a, b, b])
-
-
-def _thresholds_g(p: int) -> tuple[int, ...]:
-    # first coordinate long, second short; at p = 1 the negated root of
-    # height 4 stays regular against every coroot unless m >= 2
-    table = {
-        0: (0, 0),
-        1: (1, 2),
-        2: (2, 4),
-        3: (3, 5),
-        4: (3, 5),
-        5: (2, 4),
-        6: (1, 1),
-    }
-    return table[p]
-
-
 def prop2_threshold(rs: RootSystem, p: int) -> tuple[int, ...]:
     """Closed-form coordinate lower bounds sufficient for a degree-p pass.
 
-    Pure table lookup plus arithmetic; no enumeration.  The bands follow the
-    per-family piecewise case tables, with the handful of entries that fail
-    the exhaustive sufficiency check tightened to the per-column maxima.
-    The acceptance suite checks every degree of A1-A4, B2-B4, C3, C4, D4,
-    D5, F4 and G2 (``verify.BRUTE_TYPES``) against the full weight multiset;
-    the bands of the other types are not checked.
+    Coordinate i is ``max(0, M_i(p) - 1)``, ``M_i(p) = rs.column_profile[p][i]``.
+    It suffices on every type, at every p and for every lam above it: a sum mu
+    of p distinct negative roots has ``mu_i >= -M_i(p)``, so ``lam_i >= M_i(p) - 1``
+    gives ``(lam + mu)_i >= -1``.  Then either lam + mu is dominant, or some
+    coordinate is -1 and lam + mu + rho pairs to zero with that simple coroot.
     """
-    n = rs.rank
-    fam = rs.simple_type.family
     if not 0 <= p <= rs.num_positive_roots:
         raise VanishingError(f"p must lie in [0, {rs.num_positive_roots}], got {p}")
-    if fam == "A":
-        return _thresholds_a(n, p)
-    if fam == "B":
-        return _thresholds_b(n, p)
-    if fam == "C":
-        if n == 2:
-            # C2 is B2 with the two nodes swapped
-            a, b = _thresholds_b(2, p)
-            return (b, a)
-        return _thresholds_c(n, p)
-    if fam == "D":
-        return _thresholds_d(n, p)
-    if fam == "E":
-        return _thresholds_e(n, p)
-    if fam == "F":
-        return _thresholds_f(p)
-    if fam == "G":
-        return _thresholds_g(p)
-    raise VanishingError(f"no threshold table for family {fam}")
+    return tuple(max(0, m - 1) for m in rs.column_profile[p])
 
 
 def corollary_bound(rs: RootSystem, kind: str = "per_root") -> tuple[int, ...]:
-    """p-independent lower bounds: h_alpha - 1 per coordinate, or h - 1 flat."""
+    """p-independent lower bounds: h_alpha - 1 per coordinate, or h - 1 flat.
+
+    Corollary 5 read off :func:`prop2_threshold`: ``h_alpha = max_p M_i(p)``.
+    The largest sum of entries of column i takes all its positive entries, and
+    those sum to h_alpha: the positive roots sum to 2 rho (column sum 2), and
+    the absolute column sum is ``2 h_alpha - 2``.
+    """
     if kind == "per_root":
         return tuple(h - 1 for h in rs.coxeter_per_root)
     if kind == "global":

@@ -19,7 +19,6 @@ from rootcoh.exterior import (
     _layers,
     decode_vectors,
     encode_vectors,
-    greedy_column_profile,
     subset_sums_reference,
     sum_keys,
     sum_vectors,
@@ -186,12 +185,24 @@ def test_encode_decode_round_trip(data):
 def test_max_column_profile_examples():
     for name in ("A3", "D4", "E6"):
         rs = root_system(name)
-        assert greedy_column_profile(rs, 1) == (2,) * rs.rank
+        assert rs.column_profile[1] == (2,) * rs.rank
     g2 = root_system("G2")
-    assert greedy_column_profile(g2, 3)[1] == 6
+    assert g2.column_profile[3][1] == 6
     for name in ("A2", "B3", "F4"):
         rs = root_system(name)
-        assert greedy_column_profile(rs, rs.num_positive_roots) == (2,) * rs.rank
+        assert rs.column_profile[rs.num_positive_roots] == (2,) * rs.rank
+
+
+def test_column_profile_matches_enumeration():
+    # M_i(p) is the largest coordinate i over every sum of p distinct
+    # positive roots, read off the plain enumerator
+    for name in ("A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2"):
+        rs = root_system(name)
+        rows = [r.weight.coords for r in rs.positive_roots]
+        assert len(rs.column_profile) == rs.num_positive_roots + 1
+        for p, profile in enumerate(rs.column_profile):
+            sums = subset_sums_reference(rows, p)
+            assert profile == tuple(map(max, zip(*sums))), (name, p)
 
 
 def test_profile_unimodal_shape():
@@ -203,7 +214,7 @@ def test_profile_unimodal_shape():
             col = [r.weight.coords[i] for r in rs.positive_roots]
             m1 = sum(1 for v in col if v > 0)
             m3 = sum(1 for v in col if v == 0)
-            series = [greedy_column_profile(rs, p)[i] for p in range(n + 1)]
+            series = [row[i] for row in rs.column_profile]
             for p in range(1, n + 1):
                 step = series[p] - series[p - 1]
                 if p <= m1:

@@ -1,6 +1,7 @@
-"""Hypothesis checks, threshold tables, and the p-free corollary bounds."""
+"""Hypothesis checks, the Prop-2 thresholds, and the p-free corollary bounds."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rootcoh import (
     check_theorem1,
@@ -9,7 +10,6 @@ from rootcoh import (
     root_system,
     vanishing,
 )
-from rootcoh.exterior import greedy_column_profile
 from rootcoh.rootsys import Weight, all_simple_types
 from rootcoh.vanishing import VanishingError
 from rootcoh.weyl import pairing
@@ -101,11 +101,32 @@ def test_threshold_examples():
     assert prop2_threshold(root_system("A3"), 2) == (2, 2, 2)
     assert prop2_threshold(root_system("F4"), 10) == (8, 8, 11, 11)
     assert prop2_threshold(root_system("G2"), 5) == (2, 4)
+    assert prop2_threshold(root_system("B5"), 12) == (8, 8, 8, 8, 9)
+    assert prop2_threshold(root_system("D6"), 15) == (9,) * 6
+    assert prop2_threshold(root_system("E6"), 18) == (11,) * 6
+    assert prop2_threshold(root_system("E7"), 31) == (17,) * 7
+    e8 = root_system("E8")
+    assert prop2_threshold(e8, 60) == (29,) * 8
+    assert prop2_threshold(e8, 119) == (2,) * 8
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_threshold_suffices_above_the_band(data):
+    # the proof covers every lam at or above the bound, not only the bound
+    name = data.draw(
+        st.sampled_from(("A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2"))
+    )
+    rs = root_system(name)
+    p = data.draw(st.integers(0, rs.num_positive_roots))
+    offsets = data.draw(st.tuples(*[st.integers(0, 3) for _ in range(rs.rank)]))
+    lam = Weight(tuple(b + k for b, k in zip(prop2_threshold(rs, p), offsets)))
+    assert check_theorem1(rs, p, lam).passed
 
 
 def test_threshold_corrected_bands():
-    # entries where the naive piecewise table undershoots and brute force
-    # demands the per-column maxima instead
+    # entries that break the family's regular band pattern: each is a column
+    # maximum less 1, and lowering any one coordinate by 1 fails brute force
     assert prop2_threshold(root_system("G2"), 1) == (1, 2)
     assert prop2_threshold(root_system("C3"), 7) == (4, 4, 3)
     assert prop2_threshold(root_system("C4"), 12) == (6, 6, 6, 4)
@@ -118,17 +139,6 @@ def test_threshold_out_of_range():
         prop2_threshold(root_system("A2"), 4)
     with pytest.raises(VanishingError):
         prop2_threshold(root_system("A2"), -1)
-
-
-def test_thresholds_equal_column_maxima_route():
-    # the closed forms agree with the column maxima less 1 (clamped) everywhere
-    for t in all_simple_types(8):
-        rs = root_system(t)
-        for p in range(rs.num_positive_roots + 1):
-            greedy = tuple(
-                max(0, g - 1) for g in greedy_column_profile(rs, p)
-            )
-            assert prop2_threshold(rs, p) == greedy, (str(t), p)
 
 
 def test_c2_matches_relabeled_b2():
@@ -152,6 +162,9 @@ def test_corollary_bounds():
         per = corollary_bound(rs, "per_root")
         glob = corollary_bound(rs, "global")
         assert all(a <= b for a, b in zip(per, glob))
+        # Corollary 5 read off Prop 2: h_alpha - 1 is the largest bound over p
+        bounds = [prop2_threshold(rs, p) for p in range(rs.num_positive_roots + 1)]
+        assert per == tuple(map(max, zip(*bounds))), str(t)
     with pytest.raises(VanishingError):
         corollary_bound(g2, "both")
 

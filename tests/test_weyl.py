@@ -129,6 +129,8 @@ def test_cached_tables_survive_a_json_round_trip():
         assert rebuilt.coroot_chain is rebuilt.coroot_chain
         assert rebuilt.coroot_chain == rs.coroot_chain
         assert rebuilt.max_coroot_height == rs.max_coroot_height
+        assert rebuilt.column_profile is rebuilt.column_profile
+        assert rebuilt.column_profile == rs.column_profile
         coroots = [list(r.coroot_coords) for r in rs.positive_roots]
         assert [list(row) for row in rebuilt.coroot_rows] == coroots
         simple = [rs.simple_root(i) for i in range(n)]
