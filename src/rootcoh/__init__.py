@@ -25,7 +25,6 @@ from .weyl import BwbOutcome, WeylError, bwb, pairing, pairings, weyl_dim
 from .exterior import (
     BudgetExceededError,
     ExteriorError,
-    WeightMultiset,
     lambda_p_weights,
     phi_sums,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "VanishingError",
     "VanishingReport",
     "Weight",
-    "WeightMultiset",
     "WeylError",
     "all_simple_types",
     "build_certificate",

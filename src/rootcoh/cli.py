@@ -127,20 +127,31 @@ def _cmd_phi(args) -> int:
     rs = root_system(args.type)
     if args.p is None:
         raise UsageError("-p is required for phi")
-    ms = phi_sums(rs, args.p, args.sign)
+    vecs, counts = phi_sums(rs, args.p, args.sign)
+    weights, mults = vecs.tolist(), counts.tolist()
+    total = sum(mults)
     if args.format == "json":
-        doc = ms.to_json_dict()
-        doc["type"] = str(rs.simple_type)
-        doc["sign"] = args.sign
-        _emit(doc)
+        _emit(
+            {
+                "schema": SCHEMA,
+                "kind": "weight_multiset",
+                "p": args.p,
+                "total": str(total),
+                "entries": [
+                    {"weight": w, "mult": str(m)} for w, m in zip(weights, mults)
+                ],
+                "type": str(rs.simple_type),
+                "sign": args.sign,
+            }
+        )
         return 0
     print(
         f"{rs.simple_type} sums of {args.p} distinct "
         f"{'positive' if args.sign == '+' else 'negative'} roots: "
-        f"{len(ms.entries)} distinct weights, total {ms.total}"
+        f"{len(weights)} distinct weights, total {total}"
     )
-    for w, m in ms.entries:
-        print(f"  {w}  x{m}")
+    for w, m in zip(weights, mults):
+        print(f"  {Weight(tuple(w))}  x{m}")
     return 0
 
 

@@ -19,6 +19,11 @@ and :func:`sum_vectors` reads the high degrees off the decoded low ones.
 Sums of positive roots are the negatives of sums of negative roots, so
 :func:`phi_sums` reads them off the same layers.
 
+Each reader returns one ``(weights, multiplicities)`` pair in lexicographic
+order of the weights: :func:`sum_vectors` and :func:`phi_sums` as int64
+arrays (rows and counts), :func:`lambda_p_weights` as a list of Python-int
+tuples and a list of Python ints, so that a translation by any lam is exact.
+
 Each type keeps the deepest layer list built so far in one in-memory cache;
 a request for a deeper layer rebuilds the list and replaces the entry.
 The cache holds at most :data:`MAX_LIVE_KEYS` keys over all its entries: a
@@ -38,13 +43,12 @@ is kept as the test oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import add
 from typing import Sequence
 
 import numpy as np
 
-from .rootsys import SCHEMA, RootSystem, Weight
+from .rootsys import RootSystem, Weight
 
 #: Most keys the expansion may hold at once, over all its layers together
 #: with the shifted layer being merged in.  Of the rank <= 8 jobs with at most
@@ -58,29 +62,6 @@ class BudgetExceededError(RuntimeError):
 
 class ExteriorError(ValueError):
     """Raised on out-of-range degrees, signs or packing ranges."""
-
-
-@dataclass(frozen=True)
-class WeightMultiset:
-    """Weights with multiplicities arising from sums of p distinct roots."""
-
-    p: int
-    entries: tuple[tuple[Weight, int], ...]
-
-    @property
-    def total(self) -> int:
-        return sum(m for _, m in self.entries)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "kind": "weight_multiset",
-            "p": self.p,
-            "total": str(self.total),
-            "entries": [
-                {"weight": list(w.coords), "mult": str(m)} for w, m in self.entries
-            ],
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -285,38 +266,35 @@ def sum_vectors(rs: RootSystem, p: int) -> tuple[np.ndarray, np.ndarray]:
     return -2 - rows[::-1], counts[::-1].copy()
 
 
-def phi_sums(rs: RootSystem, p: int, sign: str = "-") -> WeightMultiset:
-    """The multiset of sums of p distinct negative (``"-"``) or positive
-    (``"+"``) roots, in lexicographic order.
+def phi_sums(
+    rs: RootSystem, p: int, sign: str = "-"
+) -> tuple[np.ndarray, np.ndarray]:
+    """(weights, multiplicities) of all sums of p distinct negative (``"-"``)
+    or positive (``"+"``) roots, as int64 arrays in lexicographic order.
 
-    The positive sums are the negated negative sums, read in reverse order.
+    The negative sums are :func:`sum_vectors`; the positive sums are their
+    negatives, read in reverse order.
     """
     if sign not in ("+", "-"):
         raise ExteriorError(f"sign must be '+' or '-', got {sign!r}")
     vecs, counts = sum_vectors(rs, p)
     if sign == "+":
-        vecs, counts = -vecs[::-1], counts[::-1]
-    entries = tuple(
-        (Weight(tuple(row)), mult)
-        for row, mult in zip(vecs.tolist(), counts.tolist())
-    )
-    return WeightMultiset(p=p, entries=entries)
+        return -vecs[::-1], counts[::-1]
+    return vecs, counts
 
 
-def lambda_p_weights(rs: RootSystem, p: int, lam: Weight) -> WeightMultiset:
-    """Weights of Lambda^p n- tensored by the character lam.
+def lambda_p_weights(
+    rs: RootSystem, p: int, lam: Weight
+) -> tuple[list[tuple[int, ...]], list[int]]:
+    """(weights, multiplicities) of Lambda^p n- tensored by the character lam.
 
-    The rows of :func:`sum_vectors` are translated by lam in Python ints, so
-    the weights are exact for any size of lam; a translation keeps
-    lexicographic order.
+    The weights are coordinate tuples, the rows of :func:`sum_vectors`
+    translated by lam in Python ints, so they are exact for any size of lam;
+    a translation keeps lexicographic order.  The multiplicities are Python
+    ints.
     """
     shift = lam.coords
     if len(shift) != rs.rank:
         raise ExteriorError(f"weight has {len(shift)} coordinates")
     vecs, counts = sum_vectors(rs, p)
-    entries = tuple(
-        (Weight(tuple(map(add, row, shift))), mult)
-        for row, mult in zip(vecs.tolist(), counts.tolist())
-    )
-    return WeightMultiset(p=p, entries=entries)
-
+    return [tuple(map(add, row, shift)) for row in vecs.tolist()], counts.tolist()

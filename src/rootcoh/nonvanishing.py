@@ -300,19 +300,19 @@ class E1Page:
 def e1_page(rs: RootSystem, p: int, lam: Weight) -> E1Page:
     """Regularize every weight of Lambda^p n- (x) k_lam and total by degree.
 
-    The weights come from :func:`lambda_p_weights
-    <rootcoh.exterior.lambda_p_weights>`, exact for any size of lam; each
-    distinct weight goes through :func:`bwb` once.  Buckets sum dimension
-    times multiplicity per cohomology degree.  When at most one bucket is
-    nonzero the filtration leaves no room for cancellation, so the buckets
-    are the exact cohomology dimensions.  A lam of the wrong length, or
-    ``p`` outside ``[0, N]``, raises :class:`ExteriorError
-    <rootcoh.exterior.ExteriorError>`.
+    The weights and their multiplicities come from :func:`lambda_p_weights
+    <rootcoh.exterior.lambda_p_weights>` as coordinate tuples and ints,
+    exact for any size of lam; each distinct weight goes through :func:`bwb`
+    once.  Buckets sum dimension times multiplicity per cohomology degree.
+    When at most one bucket is nonzero the filtration leaves no room for
+    cancellation, so the buckets are the exact cohomology dimensions.  A lam
+    of the wrong length, or ``p`` outside ``[0, N]``, raises
+    :class:`ExteriorError <rootcoh.exterior.ExteriorError>`.
     """
-    ms = lambda_p_weights(rs, p, lam)
+    weights, mults = lambda_p_weights(rs, p, lam)
     buckets: dict[int, int] = {}
-    for w, mult in ms.entries:
-        outcome = bwb(rs, w)
+    for coords, mult in zip(weights, mults):
+        outcome = bwb(rs, Weight(coords))
         if outcome.is_singular:
             continue
         buckets[outcome.degree] = buckets.get(outcome.degree, 0) + outcome.dim * mult

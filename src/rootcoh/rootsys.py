@@ -522,38 +522,6 @@ def rs_to_json_dict(rs: RootSystem) -> dict:
     }
 
 
-def rs_from_json_dict(doc: dict) -> RootSystem:
-    """Rebuild a RootSystem from its JSON document, validating as it goes."""
-    if doc.get("schema") != SCHEMA or doc.get("kind") != "root_system":
-        raise RootSystemError("not a root_system document")
-    try:
-        t = SimpleType.parse(doc["type"])
-        rs = RootSystem(
-            simple_type=t,
-            cartan=tuple(tuple(int(x) for x in row) for row in doc["cartan"]),
-            half_norms=tuple(int(x) for x in doc["half_norms"]),
-            positive_roots=tuple(
-                Root(
-                    root_coords=tuple(int(x) for x in r["root"]),
-                    weight=Weight(tuple(int(x) for x in r["weight"])),
-                    coroot_coords=tuple(int(x) for x in r["coroot"]),
-                    half_norm=int(r["half_norm"]),
-                    height=int(r["height"]),
-                )
-                for r in doc["roots"]
-            ),
-            rho=Weight((1,) * t.rank),
-            coxeter_number=int(doc["h"]),
-            coxeter_per_root=tuple(int(x) for x in doc["h_per_root"]),
-        )
-    except KeyError as exc:
-        raise RootSystemError(f"root_system document lacks the field {exc}") from None
-    reference = build_root_system(t)
-    if rs != reference:
-        raise RootSystemError(f"document for {t} disagrees with the generated system")
-    return rs
-
-
 def all_simple_types(max_rank: int = 8) -> list[SimpleType]:
     """Every valid simple type up to the given rank, in a stable order."""
     out: list[SimpleType] = []

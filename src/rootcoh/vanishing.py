@@ -121,10 +121,15 @@ class VanishingReport:
 def check_theorem1(rs: RootSystem, p: int, lam: Weight) -> VanishingReport:
     """Classify every mu in the degree-p support against lam.
 
-    Requires lam dominant, with every coordinate of ``lam + rho`` below
-    ``2**63`` so that it fits in int64.  Witness roots are the first
-    positive root in canonical order with vanishing pairing; the first
-    violation is the lexicographically smallest violating mu.
+    Requires lam dominant, with every coordinate of ``mu + lam + rho`` below
+    ``2**63`` for every mu of the support, so that the sums fit in int64:
+    coordinate i is checked as ``lam_i + 1 + max(0, max mu_i)`` in Python
+    ints, before any int64 add.  A p-subset of the negative roots and its
+    complement sum to ``-2 rho``, so ``max mu_i = M_i(N - p) - 2`` with
+    ``M = rs.column_profile``, and the support need not be scanned.  Witness
+    roots are the first positive root in canonical order with vanishing
+    pairing; the first violation is the lexicographically smallest
+    violating mu.
     Only the non-dominant rows are paired with the coroots, in blocks of at
     most ``MAX_LIVE_KEYS // N`` rows, so no pairing block holds more entries
     than the exterior engine may hold keys.
@@ -133,11 +138,12 @@ def check_theorem1(rs: RootSystem, p: int, lam: Weight) -> VanishingReport:
         raise VanishingError(f"lambda has {len(lam.coords)} coordinates")
     if not lam.is_dominant:
         raise VanishingError(f"lambda must be dominant, got {lam}")
-    if max(lam.coords) + 1 >= 2**63:
-        raise VanishingError(
-            f"lambda + rho coordinates must be below 2**63, got lambda = {lam}"
-        )
     mu, _ = sum_vectors(rs, p)
+    top = rs.column_profile[rs.num_positive_roots - p]
+    if max(c + max(0, m - 2) for c, m in zip(lam.coords, top)) + 1 >= 2**63:
+        raise VanishingError(
+            f"lambda + rho + mu coordinates must be below 2**63, got lambda = {lam}"
+        )
     lam_arr = np.array(lam.coords, dtype=np.int64)
     status = np.full(mu.shape[0], STATUS_DOMINANT, dtype=np.int8)
     witness_idx = np.zeros(mu.shape[0], dtype=np.intp)

@@ -9,7 +9,6 @@ every pass/fail decision.
 from __future__ import annotations
 
 import itertools
-import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -455,7 +454,7 @@ def check_bwb_oracle() -> CriterionResult:
             got = bwb(rs, lam)
             if not hits[row]:
                 if not got.is_singular:
-                    problems.append(f"{name} {lam}: oracle singular, bwb {got.kind}")
+                    problems.append(f"{name} {lam}: oracle singular, bwb concentrated")
             elif hits[row] != 1:
                 problems.append(f"{name} {lam}: {hits[row]} regular images")
                 continue

@@ -42,31 +42,20 @@ class WeylError(ValueError):
 class BwbOutcome:
     """Result of regularizing lam + rho.
 
-    Either ``singular`` (some pairing with a positive coroot vanishes, all
-    cohomology is zero) or ``concentrated``: cohomology lives in the single
-    degree ``degree`` and equals the representation with highest weight
-    ``dominant``, whose dimension is ``dim``.
+    Singular when ``degree is None``: some pairing with a positive coroot
+    vanishes and all cohomology is zero.  Otherwise cohomology is
+    concentrated in the single degree ``degree`` and equals the
+    representation with highest weight ``dominant``, whose dimension is
+    ``dim``.
     """
 
-    kind: str
     degree: int | None = None
     dominant: Weight | None = None
     dim: int | None = None
 
-    SINGULAR = "singular"
-    CONCENTRATED = "concentrated"
-
-    @classmethod
-    def singular(cls) -> "BwbOutcome":
-        return cls(kind=cls.SINGULAR)
-
-    @classmethod
-    def concentrated(cls, degree: int, dominant: Weight, dim: int) -> "BwbOutcome":
-        return cls(kind=cls.CONCENTRATED, degree=degree, dominant=dominant, dim=dim)
-
     @property
     def is_singular(self) -> bool:
-        return self.kind == self.SINGULAR
+        return self.degree is None
 
     def to_json_dict(self) -> dict:
         if self.is_singular:
@@ -80,7 +69,7 @@ class BwbOutcome:
 
 
 #: The one singular outcome; :class:`BwbOutcome` is frozen, so it is shared.
-_SINGULAR = BwbOutcome.singular()
+_SINGULAR = BwbOutcome()
 
 
 def pairing(rs: RootSystem, mu: Weight | Sequence[int], gamma: Root) -> int:
@@ -178,7 +167,7 @@ def bwb(rs: RootSystem, lam: Weight) -> BwbOutcome:
                 break
         else:
             dominant = Weight(tuple([c - 1 for c in x]))
-            return BwbOutcome.concentrated(steps, dominant, weyl_dim(rs, dominant))
+            return BwbOutcome(steps, dominant, weyl_dim(rs, dominant))
         if steps == bound:
             break
         x[i] = -c

@@ -57,7 +57,7 @@ def test_criterion(results, number):
             lambda out: dataclasses.replace(out, degree=out.degree + 1),
             "degree 10 != l(w) 9",
         ),
-        (lambda out: BwbOutcome.singular(), "oracle regular, bwb singular"),
+        (lambda out: BwbOutcome(), "oracle regular, bwb singular"),
         (
             lambda out: dataclasses.replace(out, dominant=Weight.of(4, 4, 5)),
             "dominant part mismatch",

@@ -6,7 +6,6 @@ import pytest
 
 from rootcoh import exterior, root_system
 from rootcoh.cli import build_parser, main
-from rootcoh.rootsys import rs_from_json_dict
 
 
 def run(capsys, *argv):
@@ -29,9 +28,68 @@ def test_roots_json_round_trips(capsys):
     doc = json.loads(out)
     assert doc["schema"] == "rootcoh/1"
     assert len(doc["roots"]) == 6
-    assert rs_from_json_dict(doc) == root_system("G2")
+    g2 = root_system("G2")
+    assert doc["cartan"] == [list(row) for row in g2.cartan]
+    assert doc["h"] == g2.coxeter_number
+    assert [(r["root"], r["weight"], r["coroot"]) for r in doc["roots"]] == [
+        (list(r.root_coords), list(r.weight.coords), list(r.coroot_coords))
+        for r in g2.positive_roots
+    ]
     pairs = {(tuple(r["root"]), tuple(r["weight"])) for r in doc["roots"]}
     assert ((1, 3), (-1, 3)) in pairs
+
+
+B2_P2 = {
+    "-": [[-3, 2], [-2, 0], [-1, -2], [-1, 0], [0, -2], [1, -4]],
+    "+": [[-1, 4], [0, 2], [1, 0], [1, 2], [2, 0], [3, -2]],
+}
+
+
+@pytest.mark.parametrize("sign", ["-", "+"])
+def test_phi_json(capsys, sign):
+    code, out, err = run(capsys, "phi", "B2", "-p", "2", "--sign", sign, "--format", "json")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert list(doc) == ["schema", "kind", "p", "total", "entries", "type", "sign"]
+    assert doc == {
+        "schema": "rootcoh/1",
+        "kind": "weight_multiset",
+        "p": 2,
+        "total": "6",
+        "entries": [{"weight": w, "mult": "1"} for w in B2_P2[sign]],
+        "type": "B2",
+        "sign": sign,
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (
+            ("phi", "B2", "-p", "2"),
+            "B2 sums of 2 distinct negative roots: 6 distinct weights, total 6\n"
+            "  (-3,2)  x1\n  (-2,0)  x1\n  (-1,-2)  x1\n"
+            "  (-1,0)  x1\n  (0,-2)  x1\n  (1,-4)  x1\n",
+        ),
+        (
+            ("phi", "B2", "-p", "2", "--sign", "+"),
+            "B2 sums of 2 distinct positive roots: 6 distinct weights, total 6\n"
+            "  (-1,4)  x1\n  (0,2)  x1\n  (1,0)  x1\n"
+            "  (1,2)  x1\n  (2,0)  x1\n  (3,-2)  x1\n",
+        ),
+        (
+            ("phi", "G2", "-p", "2", "--sign", "+", "--format", "table"),
+            "G2 sums of 2 distinct positive roots: 13 distinct weights, total 15\n"
+            "  (-2,5)  x1\n  (-1,3)  x1\n  (-1,4)  x1\n  (0,1)  x1\n"
+            "  (0,2)  x2\n  (0,3)  x1\n  (1,-1)  x1\n  (1,0)  x2\n"
+            "  (1,1)  x1\n  (2,-2)  x1\n  (2,-1)  x1\n  (3,-4)  x1\n"
+            "  (3,-3)  x1\n",
+        ),
+    ],
+    ids=["B2-", "B2+", "G2+"],
+)
+def test_phi_table(capsys, argv, want):
+    assert run(capsys, *argv) == (0, want, "")
 
 
 def test_certify_b2(capsys):
@@ -208,6 +266,18 @@ def test_out_of_contract_input_is_one_line_usage_error(capsys, argv):
     assert out == ""
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("usage error: ")
+
+
+def test_check_t1_refuses_a_sum_past_int64(capsys):
+    # lambda + rho fits int64, but mu = (1, -2) lifts coordinate 0 to 2**63
+    code, out, err = run(
+        capsys, "check-t1", "A2", "-p", "1", "--lambda", "9223372036854775806,0"
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "usage error: lambda + rho + mu coordinates must be below 2**63, "
+        "got lambda = (9223372036854775806,0)\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""The exterior-power engine, its working-set cap, multisets and profiles."""
+"""The exterior-power engine, its working-set cap, weight sums and profiles."""
 
 import math
 
@@ -15,7 +15,6 @@ from rootcoh import (
 )
 from rootcoh.exterior import (
     ExteriorError,
-    WeightMultiset,
     _layers,
     decode_vectors,
     encode_vectors,
@@ -26,8 +25,13 @@ from rootcoh.exterior import (
 from rootcoh.rootsys import Weight
 
 
-def as_dict(ms: WeightMultiset) -> dict:
-    return {w.coords: m for w, m in ms.entries}
+def as_dict(pair) -> dict:
+    weights, mults = pair
+    return {tuple(int(c) for c in w): int(m) for w, m in zip(weights, mults)}
+
+
+def total(pair) -> int:
+    return sum(int(m) for m in pair[1])
 
 
 def test_phi_sums_degree_zero():
@@ -71,12 +75,27 @@ def test_lambda_p_weights_examples():
     assert as_dict(lambda_p_weights(a2, 3, rho)) == {(-1, -1): 1}
 
 
+def test_readers_return_the_pair():
+    # phi_sums hands out the engine's int64 arrays; lambda_p_weights hands
+    # out Python ints, so a translation past int64 stays exact
+    b3 = root_system("B3")
+    vecs, counts = phi_sums(b3, 2, "+")
+    assert vecs.dtype == counts.dtype == np.int64
+    assert vecs.shape == (counts.size, 3)
+    big = 2**70
+    weights, mults = lambda_p_weights(b3, 2, Weight.of(big, 0, -big))
+    rows, want = sum_vectors(b3, 2)
+    assert mults == want.tolist()
+    assert all(type(m) is int for m in mults)
+    assert weights == [(a + big, b, c - big) for a, b, c in rows.tolist()]
+
+
 def test_totals_are_binomials():
     for name in ("A3", "B3", "G2", "D4"):
         rs = root_system(name)
         n = rs.num_positive_roots
         for p in range(n + 1):
-            assert phi_sums(rs, p, "-").total == math.comb(n, p)
+            assert total(phi_sums(rs, p, "-")) == math.comb(n, p)
 
 
 def test_sign_symmetry():
@@ -86,7 +105,7 @@ def test_sign_symmetry():
             plus = phi_sums(rs, p, "+")
             minus = phi_sums(rs, p, "-")
             assert as_dict(minus) == {
-                tuple(-c for c in w.coords): m for w, m in plus.entries
+                tuple(-c for c in w): m for w, m in as_dict(plus).items()
             }
 
 
@@ -109,7 +128,7 @@ def test_reference_enumeration_agrees():
         rows = [r.weight.coords for r in rs.positive_roots]
         for p in range(rs.num_positive_roots + 1):
             ref = subset_sums_reference(rows, p)
-            got = {w.coords: m for w, m in phi_sums(rs, p, "+").entries}
+            got = as_dict(phi_sums(rs, p, "+"))
             assert got == ref
 
 
@@ -195,14 +214,19 @@ def test_max_column_profile_examples():
 
 def test_column_profile_matches_enumeration():
     # M_i(p) is the largest coordinate i over every sum of p distinct
-    # positive roots, read off the plain enumerator
+    # positive roots, read off the plain enumerator; and M_i(N - p) - 2 is
+    # the largest coordinate i over the sums of p negative roots, which
+    # check_theorem1's int64 guard relies on
     for name in ("A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2"):
         rs = root_system(name)
+        n = rs.num_positive_roots
         rows = [r.weight.coords for r in rs.positive_roots]
-        assert len(rs.column_profile) == rs.num_positive_roots + 1
+        assert len(rs.column_profile) == n + 1
         for p, profile in enumerate(rs.column_profile):
             sums = subset_sums_reference(rows, p)
             assert profile == tuple(map(max, zip(*sums))), (name, p)
+            top = sum_vectors(rs, n - p)[0].max(axis=0).tolist()
+            assert top == [m - 2 for m in profile], (name, p)
 
 
 def test_profile_unimodal_shape():
@@ -233,7 +257,7 @@ def test_budget_refusal(monkeypatch):
     g2 = root_system("G2")
     with pytest.raises(BudgetExceededError, match="MAX_LIVE_KEYS"):
         phi_sums(g2, 3, "-")
-    assert phi_sums(g2, 1, "-").total == 6
+    assert total(phi_sums(g2, 1, "-")) == 6
 
 
 def test_layer_cache_evicts_oldest_entries_past_the_cap(monkeypatch):
@@ -276,25 +300,12 @@ def test_jobs_past_the_old_subset_budget_run(monkeypatch):
 
 def test_large_rank_small_degree_runs():
     e8 = root_system("E8")
-    ms = phi_sums(e8, 2, "-")
-    assert ms.total == math.comb(120, 2)
-
-
-def test_multiset_json_round_trip():
-    doc = phi_sums(root_system("B2"), 2, "-").to_json_dict()
-    weights = [[-3, 2], [-2, 0], [-1, -2], [-1, 0], [0, -2], [1, -4]]
-    assert doc == {
-        "schema": "rootcoh/1",
-        "kind": "weight_multiset",
-        "p": 2,
-        "total": "6",
-        "entries": [{"weight": w, "mult": "1"} for w in weights],
-    }
+    assert total(phi_sums(e8, 2, "-")) == math.comb(120, 2)
 
 
 def test_entries_sorted_lexicographically():
     for name, lam in (("B3", Weight.of(3, -2, 1)), ("G2", Weight.of(-4, 5))):
         rs = root_system(name)
-        for ms in (phi_sums(rs, 2, "-"), lambda_p_weights(rs, 2, lam)):
-            coords = [w.coords for w, _ in ms.entries]
+        for weights, _ in (phi_sums(rs, 2, "-"), lambda_p_weights(rs, 2, lam)):
+            coords = [tuple(int(c) for c in w) for w in weights]
             assert coords == sorted(coords)

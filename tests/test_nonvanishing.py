@@ -198,11 +198,11 @@ def test_e1_page_euler_is_multiset_invariant():
     # recompute from individually regularized weights in shuffled order
     from rootcoh.exterior import lambda_p_weights
 
-    entries = list(lambda_p_weights(g2, 5, lam).entries)
+    entries = list(zip(*lambda_p_weights(g2, 5, lam)))
     random.Random(3).shuffle(entries)
     chi = 0
-    for w, m in entries:
-        out = bwb(g2, w)
+    for coords, m in entries:
+        out = bwb(g2, Weight(coords))
         if not out.is_singular:
             chi += (-1) ** out.degree * out.dim * m
     assert chi == page.euler == -1

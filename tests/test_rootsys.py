@@ -1,7 +1,6 @@
 """Construction, dual coordinates, and Coxeter data of the root catalogues."""
 
 import dataclasses
-import json
 
 import pytest
 
@@ -13,7 +12,7 @@ from rootcoh import (
     column_stats,
     root_system,
 )
-from rootcoh.rootsys import Weight, build_root_system, rs_from_json_dict, rs_to_json_dict
+from rootcoh.rootsys import Weight, build_root_system
 
 G2_TABLE = {
     ((1, 0), (2, -3)),
@@ -165,34 +164,6 @@ def test_half_norms_and_coroots_consistent():
         for r in rs.positive_roots:
             # (gamma, gamma^v) = 2 in every normalisation
             assert sum(c * w for c, w in zip(r.coroot_coords, r.weight.coords)) == 2
-
-
-def test_json_round_trip():
-    rs = root_system("F4")
-    doc = json.dumps(rs_to_json_dict(rs))
-    parsed = json.loads(doc)
-    assert parsed["schema"] == "rootcoh/1"
-    assert parsed["h"] == 12
-    assert rs_from_json_dict(parsed) == rs
-
-
-def test_json_rejects_tampered_document():
-    doc = rs_to_json_dict(root_system("B2"))
-    doc["roots"][0]["weight"] = [9, 9]
-    with pytest.raises(RootSystemError):
-        rs_from_json_dict(doc)
-
-
-def test_json_missing_field_is_a_root_system_error():
-    for field in ("type", "cartan", "h", "h_per_root"):
-        doc = rs_to_json_dict(root_system("B2"))
-        del doc[field]
-        with pytest.raises(RootSystemError, match=field):
-            rs_from_json_dict(doc)
-    doc = rs_to_json_dict(root_system("B2"))
-    del doc["roots"][0]["coroot"]
-    with pytest.raises(RootSystemError, match="coroot"):
-        rs_from_json_dict(doc)
 
 
 def test_weight_helpers():

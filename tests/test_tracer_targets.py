@@ -44,11 +44,11 @@ def test_sum_keys_binds_rs_and_p(monkeypatch):
     t = tracer.Tracer()
     t.install()
     try:
-        ms = t.run_op(0, exterior.phi_sums, root_system("G2"), 4)
+        rows, _ = t.run_op(0, exterior.phi_sums, root_system("G2"), 4)
     finally:
         t.uninstall()
     summary = t.summary()
     assert summary["unmeasured"] == []
     assert summary["calls"]["exterior.sum_keys"] == 1
     assert summary["counts"]["exterior.subsets"] == math.comb(6, 4)
-    assert summary["counts"]["exterior.support_weights"] == len(ms.entries)
+    assert summary["counts"]["exterior.support_weights"] == len(rows)

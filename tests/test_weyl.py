@@ -1,7 +1,7 @@
 """Regularization, the pairing primitive, and the dimension formula."""
 
+import dataclasses
 import itertools
-import json
 import random
 from math import prod
 from operator import mul
@@ -16,8 +16,6 @@ from rootcoh.rootsys import (
     Weight,
     all_simple_types,
     build_root_system,
-    rs_from_json_dict,
-    rs_to_json_dict,
 )
 from rootcoh.weyl import BwbOutcome, WeylError, degree_by_inversions
 
@@ -47,7 +45,7 @@ def test_bwb_zero_weight():
     for name in ("A1", "B3", "E7", "G2"):
         rs = root_system(name)
         out = bwb(rs, Weight.zero(rs.rank))
-        assert out == BwbOutcome.concentrated(0, Weight.zero(rs.rank), 1)
+        assert out == BwbOutcome(0, Weight.zero(rs.rank), 1)
 
 
 def test_bwb_minus_rho_is_singular():
@@ -115,8 +113,11 @@ def test_pairings_refuse_overflow():
 def test_cached_tables_survive_a_json_round_trip():
     for name in ("A3", "B3", "G2", "E6"):
         rs = root_system(name)
-        rebuilt = rs_from_json_dict(json.loads(json.dumps(rs_to_json_dict(rs))))
-        assert rebuilt is not rs
+        # a fresh instance starts with no cached table, as a catalogue read
+        # back from its JSON document would
+        rebuilt = dataclasses.replace(rs)
+        assert rebuilt is not rs and rebuilt == rs
+        assert "simple_weight_rows" not in vars(rebuilt)
         assert rebuilt.simple_weight_rows == rs.simple_weight_rows
         assert rebuilt.simple_weight_rows is rebuilt.simple_weight_rows
         n = rs.rank
@@ -152,12 +153,12 @@ def test_bwb_minus_two_rho_takes_exactly_n_reflections():
     for t in SWEPT:
         rs = root_system(t)
         out = bwb(rs, Weight((-2,) * rs.rank))
-        assert out == BwbOutcome.concentrated(rs.num_positive_roots, Weight.zero(rs.rank), 1)
+        assert out == BwbOutcome(rs.num_positive_roots, Weight.zero(rs.rank), 1)
 
 
 def test_bwb_refuses_a_table_of_an_infinite_group():
     a2 = root_system("A2")
-    rebuilt = rs_from_json_dict(json.loads(json.dumps(rs_to_json_dict(a2))))
+    rebuilt = dataclasses.replace(a2)
     assert bwb(rebuilt, Weight.of(-2, 0)) == bwb(a2, Weight.of(-2, 0))
     # cartan entries -3 on both sides of the edge: an infinite Coxeter group,
     # where (-1, 1) reflects to (1, -2), (-5, 2), (5, -13), ... and never
