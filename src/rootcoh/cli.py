@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -46,12 +47,26 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _strict_int(text: str) -> int:
+    """An integer in ASCII digits with an optional sign, spaces around it
+    allowed; ``int`` alone would also take underscores and other scripts'
+    digits.  Raises :class:`argparse.ArgumentTypeError` in ``int``'s words,
+    so argparse reports ``invalid int value: ...`` for ``-p``.
+    """
+    try:
+        if re.fullmatch(r"[+-]?[0-9]+", text.strip()):
+            return int(text)
+    except ValueError:  # past the interpreter's limit on digits
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _parse_lambda(rs: RootSystem, text: str | None) -> Weight:
     if text is None:
         raise UsageError("--lambda is required for this command")
     try:
-        coords = tuple(int(x) for x in text.split(","))
-    except ValueError as exc:
+        coords = tuple(_strict_int(x) for x in text.split(","))
+    except argparse.ArgumentTypeError as exc:
         raise UsageError(f"--lambda must be comma-separated integers, got {text!r}") from exc
     if len(coords) != rs.rank:
         raise UsageError(
@@ -338,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("type", help="simple type, e.g. A3, B4, E8, G2")
         p.add_argument("--format", choices=("table", "json"), default="table")
         if needs_p:
-            p.add_argument("-p", type=int, default=None, help="exterior degree")
+            p.add_argument("-p", type=_strict_int, default=None, help="exterior degree")
         if needs_lambda:
             p.add_argument(
                 "--lambda",

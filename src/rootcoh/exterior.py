@@ -6,8 +6,8 @@ of ``t^p`` in ``prod_{gamma > 0} (1 + t e^{-gamma})`` (Kostant, Ann. of Math.
 the sums of ``j`` distinct negative roots as sorted int64 keys (packed by
 :func:`encode_vectors`) with their multiplicities; adding the root ``-gamma``
 merges layer ``j`` with layer ``j - 1`` shifted by the packed key of
-``-gamma``.  The packed keys stay inside this module: callers read weight
-vectors from :func:`sum_vectors`.
+``-gamma``.  The packed keys stay inside this module: callers read weights
+through the three readers below.
 
 The expansion runs only to depth ``d = min(p, N - p)``.  A subset and its
 complement sum to ``-2 rho``, whose fundamental-weight coordinates are all
@@ -15,14 +15,19 @@ complement sum to ``-2 rho``, whose fundamental-weight coordinates are all
 
     layer N - p = -2 - layer p,
 
-and :func:`sum_vectors` reads the high degrees off the decoded low ones.
-Sums of positive roots are the negatives of sums of negative roots, so
-:func:`phi_sums` reads them off the same layers.
+and the readers take the high degrees off the low ones.  The readers:
 
-Each reader returns one ``(weights, multiplicities)`` pair in lexicographic
-order of the weights: :func:`sum_vectors` and :func:`phi_sums` as int64
-arrays (rows and counts), :func:`lambda_p_weights` as a list of Python-int
-tuples and a list of Python ints, so that a translation by any lam is exact.
+- :func:`sum_vectors` returns ``(rows, multiplicities)``, int64 arrays in
+  lexicographic order of the weights.  :func:`phi_sums` returns the same
+  pair for sums of negative roots, and for sums of positive roots their
+  negatives in reverse order.
+- :func:`lambda_p_weights` returns the rows of :func:`sum_vectors`
+  translated by lam as a list of Python-int tuples, and the multiplicities
+  as a list of Python ints, so that a translation by any lam is exact.
+- :func:`rows_below` returns ``(indices, rows, size)``: only the rows with
+  some coordinate below a floor, found on the packed fields, with their
+  indices in :func:`sum_vectors` order and the size of the whole support.
+  No other row is decoded.
 
 Each type keeps the deepest layer list built so far in one in-memory cache;
 a request for a deeper layer rebuilds the list and replaces the entry.
@@ -222,10 +227,11 @@ def sum_keys(rs: RootSystem, p: int) -> tuple[np.ndarray, np.ndarray]:
     Layer ``d`` holds the sums of ``d`` distinct negative roots; its keys
     are sorted ascending, which is lexicographic order of the weights.  For
     ``p > N / 2`` it is the complement of layer ``p``: as many keys, and the
-    multiplicities in reverse order.  :func:`sum_vectors` reads layer ``p``
-    off it.  The layer list of each type is cached and rebuilt only when a
-    deeper layer is asked for; the oldest entries are evicted so that the
-    cache holds at most :data:`MAX_LIVE_KEYS` keys.  A job with
+    multiplicities in reverse order.  :func:`sum_vectors` and
+    :func:`rows_below` read layer ``p`` off it.  The layer list of each
+    type is cached and rebuilt only when a deeper layer is asked for; the
+    oldest entries are evicted so that the cache holds at most
+    :data:`MAX_LIVE_KEYS` keys.  A job with
     ``C(N, d) >= 2**63``, so that a multiplicity could wrap, is refused with
     :class:`BudgetExceededError` before anything is allocated; so is a build
     that would hold more than :data:`MAX_LIVE_KEYS` keys, before the merge
@@ -264,6 +270,47 @@ def sum_vectors(rs: RootSystem, p: int) -> tuple[np.ndarray, np.ndarray]:
     if 2 * p <= rs.num_positive_roots:
         return rows, counts
     return -2 - rows[::-1], counts[::-1].copy()
+
+
+def rows_below(
+    rs: RootSystem, p: int, floor: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The rows mu of :func:`sum_vectors` with some ``mu_k < floor_k``.
+
+    Returns their indices in :func:`sum_vectors` order, their int64 rows and
+    the number of rows of the whole support.  Each coordinate is tested on
+    its packed field of the cached layer, so only the rows found are
+    decoded.  A field reads ``mu_k = field - bias`` on the direct layer and
+    ``mu_k = -2 - (field - bias)`` on the complement (``p > N / 2``), whose
+    keys come in reverse order.  The thresholds are clamped to the field's
+    range in Python ints, so ``floor`` may hold any integers.
+    """
+    rank = rs.rank
+    if len(floor) != rank:
+        raise ExteriorError(f"floor has {len(floor)} coordinates, expected {rank}")
+    keys, _ = sum_keys(rs, p)
+    bits, bias = _encoder(rank)
+    mask = (1 << bits) - 1
+    complement = 2 * p > rs.num_positive_roots
+    below = np.zeros(keys.size, dtype=bool)
+    for k, f in enumerate(floor):
+        # field k is compared in place, against an edge shifted to its bits
+        shift = bits * (rank - 1 - k)
+        if complement:
+            # -2 - (field - bias) < f  <=>  field > bias - 2 - f
+            edge = bias - 2 - f
+            if edge < mask:
+                below |= (keys & (mask << shift)) > (max(edge, -1) << shift)
+        else:
+            # field - bias < f  <=>  field < bias + f
+            edge = bias + f
+            if edge > 0:
+                below |= (keys & (mask << shift)) < (min(edge, mask + 1) << shift)
+    idx = np.flatnonzero(below)
+    rows = decode_vectors(keys[idx], rank)
+    if complement:
+        return (keys.size - 1 - idx)[::-1], -2 - rows[::-1], keys.size
+    return idx, rows, keys.size
 
 
 def phi_sums(

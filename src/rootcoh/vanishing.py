@@ -19,24 +19,13 @@ from typing import Iterator
 
 import numpy as np
 
-from .exterior import MAX_LIVE_KEYS, sum_vectors
+from .exterior import MAX_LIVE_KEYS, rows_below, sum_vectors
 from .rootsys import Root, RootSystem, Weight, SCHEMA
 from .weyl import pairings
 
 
 class VanishingError(ValueError):
     """Raised on out-of-contract inputs to the vanishing checks."""
-
-
-STATUS_DOMINANT = 0
-STATUS_SINGULAR = 1
-STATUS_VIOLATION = 2
-
-_STATUS_NAMES = {
-    STATUS_DOMINANT: "dominant",
-    STATUS_SINGULAR: "singular",
-    STATUS_VIOLATION: "violation",
-}
 
 
 @dataclass(frozen=True)
@@ -50,7 +39,12 @@ class Witness:
 
 @dataclass
 class VanishingReport:
-    """Outcome of the hypothesis check for one (type, p, lam)."""
+    """Outcome of the hypothesis check for one (type, p, lam).
+
+    Only the non-dominant rows are held: their indices in ``sum_vectors``
+    order, and for each the index of its witness root, or -1 for a
+    violation.  :meth:`witnesses` decodes the whole support on demand.
+    """
 
     type: str
     p: int
@@ -61,9 +55,8 @@ class VanishingReport:
     num_violations: int
     first_violation: Weight | None
     _rs: RootSystem = field(repr=False)
-    _mu: np.ndarray = field(repr=False)
-    _status: np.ndarray = field(repr=False)
-    _witness_idx: np.ndarray = field(repr=False)
+    _idx: np.ndarray = field(repr=False)
+    _root: np.ndarray = field(repr=False)
 
     @property
     def passed(self) -> bool:
@@ -72,15 +65,13 @@ class VanishingReport:
     def witnesses(self) -> Iterator[Witness]:
         """Per-mu records, in lexicographic order of mu."""
         roots = self._rs.positive_roots
-        for i in range(self._mu.shape[0]):
-            status = int(self._status[i])
-            mu = Weight(tuple(int(c) for c in self._mu[i]))
-            root = (
-                roots[int(self._witness_idx[i])]
-                if status == STATUS_SINGULAR
-                else None
-            )
-            yield Witness(mu=mu, kind=_STATUS_NAMES[status], singular_root=root)
+        mu, _ = sum_vectors(self._rs, self.p)
+        root_of = dict(zip(self._idx.tolist(), self._root.tolist()))
+        for i, row in enumerate(mu.tolist()):
+            r = root_of.get(i)
+            kind = "dominant" if r is None else "violation" if r < 0 else "singular"
+            root = roots[r] if kind == "singular" else None
+            yield Witness(mu=Weight(tuple(row)), kind=kind, singular_root=root)
 
     def to_json_dict(self, include_witnesses: bool = False) -> dict:
         doc = {
@@ -130,49 +121,45 @@ def check_theorem1(rs: RootSystem, p: int, lam: Weight) -> VanishingReport:
     roots are the first positive root in canonical order with vanishing
     pairing; the first violation is the lexicographically smallest
     violating mu.
-    Only the non-dominant rows are paired with the coroots, in blocks of at
-    most ``MAX_LIVE_KEYS // N`` rows, so no pairing block holds more entries
-    than the exterior engine may hold keys.
+    Only the rows below ``-lam`` in some coordinate, the non-dominant ones,
+    are decoded (:func:`~rootcoh.exterior.rows_below`) and paired with the
+    coroots, in blocks of at most ``MAX_LIVE_KEYS // N`` rows, so no pairing
+    block holds more entries than the exterior engine may hold keys.
     """
     if len(lam.coords) != rs.rank:
         raise VanishingError(f"lambda has {len(lam.coords)} coordinates")
     if not lam.is_dominant:
         raise VanishingError(f"lambda must be dominant, got {lam}")
-    mu, _ = sum_vectors(rs, p)
+    idx, mu, size = rows_below(rs, p, [-c for c in lam.coords])
     top = rs.column_profile[rs.num_positive_roots - p]
     if max(c + max(0, m - 2) for c, m in zip(lam.coords, top)) + 1 >= 2**63:
         raise VanishingError(
             f"lambda + rho + mu coordinates must be below 2**63, got lambda = {lam}"
         )
-    lam_arr = np.array(lam.coords, dtype=np.int64)
-    status = np.full(mu.shape[0], STATUS_DOMINANT, dtype=np.int8)
-    witness_idx = np.zeros(mu.shape[0], dtype=np.intp)
-    rest = np.flatnonzero(~(mu >= -lam_arr).all(axis=1))
+    shift = np.array(lam.coords, dtype=np.int64) + 1
+    root = np.empty(idx.size, dtype=np.intp)
     block = max(1, MAX_LIVE_KEYS // rs.num_positive_roots)
-    for start in range(0, rest.size, block):
-        rows = rest[start : start + block]
-        zero = pairings(rs, mu[rows] + (lam_arr + 1)) == 0
-        status[rows] = np.where(zero.any(axis=1), STATUS_SINGULAR, STATUS_VIOLATION)
-        witness_idx[rows] = np.argmax(zero, axis=1)
-    violations = status == STATUS_VIOLATION
-    nviol = int(violations.sum())
+    for start in range(0, idx.size, block):
+        zero = pairings(rs, mu[start : start + block] + shift) == 0
+        root[start : start + block] = np.where(
+            zero.any(axis=1), np.argmax(zero, axis=1), -1
+        )
+    violations = np.flatnonzero(root < 0)
     first = None
-    if nviol:
-        first_row = mu[np.argmax(violations)]
-        first = Weight(tuple(int(c) for c in first_row))
+    if violations.size:
+        first = Weight(tuple(mu[violations[0]].tolist()))
     return VanishingReport(
         type=str(rs.simple_type),
         p=p,
         lam=lam,
-        verdict="pass" if nviol == 0 else "fail",
-        num_dominant=int((status == STATUS_DOMINANT).sum()),
-        num_singular=int((status == STATUS_SINGULAR).sum()),
-        num_violations=nviol,
+        verdict="fail" if violations.size else "pass",
+        num_dominant=size - idx.size,
+        num_singular=idx.size - violations.size,
+        num_violations=violations.size,
         first_violation=first,
         _rs=rs,
-        _mu=mu,
-        _status=status,
-        _witness_idx=witness_idx,
+        _idx=idx,
+        _root=root,
     )
 
 

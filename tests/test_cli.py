@@ -258,6 +258,10 @@ def test_verify_all_json(capsys):
         ("check-t1", "A2", "-p", "1", "--lambda", "1,1", "--bogus"),
         ("e1",),
         ("e1", "A2", "-p", "1", "--lambda"),
+        ("check-t1", "A2", "-p", "1", "--lambda", "1_0,2"),
+        ("check-t1", "A2", "-p", "1", "--lambda", "\u0661\u0662,2"),
+        ("check-t1", "A2", "-p", "\u0661", "--lambda", "1,1"),
+        ("phi", "A2", "-p", "1_0"),
     ],
 )
 def test_out_of_contract_input_is_one_line_usage_error(capsys, argv):
@@ -266,6 +270,21 @@ def test_out_of_contract_input_is_one_line_usage_error(capsys, argv):
     assert out == ""
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("usage error: ")
+
+
+def test_integers_are_ascii_digits_with_a_sign(capsys):
+    # int() alone takes "1_0" as 10 and Arabic-Indic digits as decimals
+    code, out, err = run(capsys, "check-t1", "A2", "-p", "\u0661", "--lambda", "1,1")
+    assert (code, out) == (2, "")
+    assert err == "usage error: argument -p: invalid int value: '\u0661'\n"
+    code, out, err = run(capsys, "check-t1", "A2", "-p", "1", "--lambda", "1_0,2")
+    assert (code, out) == (2, "")
+    assert err == (
+        "usage error: --lambda must be comma-separated integers, got '1_0,2'\n"
+    )
+    code, out, _ = run(capsys, "check-t1", "A2", "-p", " +1 ", "--lambda", " +1 ,1")
+    assert code == 0
+    assert out.startswith("A2 p=1 lambda=(1,1): pass")
 
 
 def test_check_t1_refuses_a_sum_past_int64(capsys):

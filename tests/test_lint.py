@@ -3,7 +3,9 @@
 No linter ships with the project, so this reads each module with ``ast``.
 A top-level import counts as used when the module names it anywhere (in
 code or in an annotation); in ``__init__`` a name listed in ``__all__`` is
-used too, since re-exporting it is the point of the import.
+used too, since re-exporting it is the point of the import.  The packed
+int64 keys of the exterior engine stay inside ``exterior.py``: no other
+module imports or reaches the names that read or write them.
 """
 
 import ast
@@ -55,3 +57,21 @@ def test_every_public_name_resolves():
     assert len(set(rootcoh.__all__)) == len(rootcoh.__all__)
     missing = [name for name in rootcoh.__all__ if not hasattr(rootcoh, name)]
     assert missing == []
+
+
+#: Names that carry the packed-key format; only ``exterior.py`` may use them.
+PACKED = {"sum_keys", "encode_vectors", "decode_vectors", "_encoder", "_layers"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_packed_keys_stay_in_exterior(path):
+    if path.name == "exterior.py":
+        return
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and str(node.module).endswith("exterior"):
+            used |= {a.name for a in node.names} & PACKED
+        elif isinstance(node, ast.Attribute) and node.attr in PACKED:
+            used.add(node.attr)
+    assert not used, f"{path.name} reaches the packed-key format through {sorted(used)}"

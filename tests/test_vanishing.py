@@ -1,5 +1,9 @@
 """Hypothesis checks, the Prop-2 thresholds, and the p-free corollary bounds."""
 
+import functools
+import math
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,9 +14,10 @@ from rootcoh import (
     root_system,
     vanishing,
 )
+from rootcoh.exterior import rows_below, subset_sums_reference, sum_vectors
 from rootcoh.rootsys import Weight, all_simple_types
 from rootcoh.vanishing import VanishingError
-from rootcoh.weyl import pairing
+from rootcoh.weyl import WeylError, pairing
 
 
 def witness_map(report):
@@ -46,14 +51,17 @@ def test_g2_degree_three_example_passes():
 
 
 def test_blocked_pairing_matches_one_block(monkeypatch):
-    # pass and fail cases, paired in 7-row blocks and in the default blocks
+    # pass and fail cases, paired in 7-row blocks and in the default blocks;
+    # the last six have p > N/2, read off the complement of layer N - p
     cases = [("A2", 1, (0, 0)), ("G2", 3, (3, 5)), ("B3", 4, (1, 0, 2)),
-             ("D4", 6, (0, 1, 0, 2)), ("F4", 12, (1, 1, 1, 1))]
+             ("D4", 6, (0, 1, 0, 2)), ("F4", 12, (1, 1, 1, 1)),
+             ("B3", 7, (2, 2, 2)), ("B3", 7, (3, 3, 5)), ("G2", 5, (1, 2)),
+             ("G2", 5, (2, 4)), ("A3", 5, (0, 0, 0)), ("A3", 5, (2, 2, 2))]
 
     def report(name, p, lam):
         rep = check_theorem1(root_system(name), p, Weight(lam))
         return (rep.to_json_dict(include_witnesses=True),
-                rep._status.tolist(), rep._witness_idx.tolist())
+                rep._idx.tolist(), rep._root.tolist())
 
     default = [report(*case) for case in cases]
     assert {doc["verdict"] for doc, _, _ in default} == {"pass", "fail"}
@@ -61,6 +69,80 @@ def test_blocked_pairing_matches_one_block(monkeypatch):
         n = root_system(case[0]).num_positive_roots
         monkeypatch.setattr(vanishing, "MAX_LIVE_KEYS", 7 * n)
         assert report(*case) == want
+
+
+#: Every (type, p) of rank <= 4 whose plain enumeration takes at most
+#: C(24, 6) subsets (about 0.3 s): all but F4 at 6 < p < 18.
+REFERENCE_CASES = [
+    (str(t), p)
+    for t in all_simple_types(4)
+    for p in range(root_system(t).num_positive_roots + 1)
+    if math.comb(root_system(t).num_positive_roots, p) <= math.comb(24, 6)
+]
+
+#: Lambda coordinates at the packed fields' edges: a rank <= 3 key has 16-bit
+#: fields biased by 2**15, a rank-4 key 15-bit fields biased by 2**14.
+EDGES = (2**14 - 1, 2**14, 2**14 + 1, 2**15 - 1, 2**15, 2**15 + 1, 2**62)
+
+
+@functools.cache
+def _reference_support(name, p):
+    rows = [[-c for c in r.weight.coords] for r in root_system(name).positive_roots]
+    return sorted(subset_sums_reference(rows, p))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_check_theorem1_matches_the_plain_enumeration(data):
+    # the plain enumerator and Python-int pairings share no code with the
+    # packed-field test of rows_below or with the blocked pairing matrix
+    name, p = data.draw(st.sampled_from(REFERENCE_CASES))
+    rs = root_system(name)
+    coords = data.draw(st.lists(st.integers(0, 5), min_size=rs.rank, max_size=rs.rank))
+    if data.draw(st.booleans()):
+        k = data.draw(st.integers(0, rs.rank - 1))
+        coords[k] = data.draw(st.sampled_from(EDGES))
+    support = _reference_support(name, p)
+    vecs, _ = sum_vectors(rs, p)
+    assert [tuple(row) for row in vecs.tolist()] == support
+    # rows_below takes any floor: -lam, and one past either end of a field
+    any_floor = st.integers(-8, 8) | st.sampled_from(EDGES + tuple(-e for e in EDGES))
+    free = data.draw(st.lists(any_floor, min_size=rs.rank, max_size=rs.rank))
+    for floor in (free, [-c for c in coords]):
+        below = [i for i, mu in enumerate(support) if any(map(int.__lt__, mu, floor))]
+        idx, rows, size = rows_below(rs, p, floor)
+        assert idx.tolist() == below
+        assert [tuple(row) for row in rows.tolist()] == [support[i] for i in below]
+        assert size == len(support)
+
+    want = []
+    for mu in support:
+        shifted = [m + c for m, c in zip(mu, coords)]
+        if min(shifted) >= 0:
+            want.append((mu, "dominant", None))
+            continue
+        x = [s + 1 for s in shifted]
+        zero = [r.root_coords for r in rs.positive_roots if pairing(rs, x, r) == 0]
+        want.append((mu, "singular", zero[0]) if zero else (mu, "violation", None))
+    try:
+        rep = check_theorem1(rs, p, Weight(tuple(coords)))
+    except WeylError:
+        # the pairing matrix refuses entries whose pairings could leave int64
+        top = max(abs(m + c + 1) for i in below for m, c in zip(support[i], coords))
+        assert top * rs.max_coroot_height >= 2**63
+        return
+    got = [
+        (w.mu.coords, w.kind, w.singular_root.root_coords if w.singular_root else None)
+        for w in rep.witnesses()
+    ]
+    assert got == want
+    kinds = Counter(kind for _, kind, _ in want)
+    assert (rep.num_dominant, rep.num_singular, rep.num_violations) == (
+        kinds["dominant"], kinds["singular"], kinds["violation"]
+    )
+    violations = [mu for mu, kind, _ in want if kind == "violation"]
+    assert rep.first_violation == (Weight(violations[0]) if violations else None)
+    assert rep.verdict == ("fail" if violations else "pass")
 
 
 def test_check_requires_dominant_lambda():
