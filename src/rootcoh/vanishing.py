@@ -4,7 +4,11 @@
 sums of distinct negative roots: either lam + mu is dominant, or
 lam + mu + rho pairs to zero with some positive coroot (singular), or neither
 (a violation).  A report with no violations certifies the vanishing of the
-twisted (p, q) cohomology for all q >= 1.
+twisted (p, q) cohomology for all q >= 1.  Only the non-dominant rows are
+decoded, and they are classified in two stages: the pairing with the simple
+coroot ``alpha_k^v`` is coordinate k of ``x = lam + mu + rho``, so a row with
+a zero coordinate is singular at once, and only the rest are paired with
+every positive coroot.
 
 ``prop2_threshold`` gives closed-form per-coordinate lower bounds on lam that
 guarantee a pass on every type, read off the column profile of the
@@ -21,7 +25,7 @@ import numpy as np
 
 from .exterior import MAX_LIVE_KEYS, rows_below, sum_vectors
 from .rootsys import Root, RootSystem, Weight, SCHEMA
-from .weyl import pairings
+from .weyl import exact_pairings, pairings
 
 
 class VanishingError(ValueError):
@@ -42,8 +46,8 @@ class VanishingReport:
     """Outcome of the hypothesis check for one (type, p, lam).
 
     Only the non-dominant rows are held: their indices in ``sum_vectors``
-    order, and for each the index of its witness root, or -1 for a
-    violation.  :meth:`witnesses` decodes the whole support on demand.
+    order, and which of them are violations.  :meth:`witnesses` decodes the
+    whole support on demand and finds each singular row's witness root then.
     """
 
     type: str
@@ -56,17 +60,34 @@ class VanishingReport:
     first_violation: Weight | None
     _rs: RootSystem = field(repr=False)
     _idx: np.ndarray = field(repr=False)
-    _root: np.ndarray = field(repr=False)
+    _violation: np.ndarray = field(repr=False)
 
     @property
     def passed(self) -> bool:
         return self.verdict == "pass"
 
     def witnesses(self) -> Iterator[Witness]:
-        """Per-mu records, in lexicographic order of mu."""
-        roots = self._rs.positive_roots
-        mu, _ = sum_vectors(self._rs, self.p)
-        root_of = dict(zip(self._idx.tolist(), self._root.tolist()))
+        """Per-mu records, in lexicographic order of mu.
+
+        A singular row's witness is the first positive root in canonical
+        order whose coroot pairs ``lam + mu + rho`` to zero.  Roots come by
+        ascending height, so the simple roots come first: a row with a zero
+        coordinate takes the first simple root at a zero coordinate, and only
+        the singular rows with no zero coordinate are paired, in blocks as
+        in :func:`check_theorem1`.
+        """
+        rs = self._rs
+        roots = rs.positive_roots
+        n = rs.num_positive_roots
+        mu, _ = sum_vectors(rs, self.p)
+        x = mu[self._idx] + _shift(self.lam)
+        simple = np.array([rs.index_of(rs.simple_root(k).root_coords) for k in range(rs.rank)])
+        witness = np.where(x == 0, simple, n).min(axis=1)
+        rest = np.flatnonzero((witness == n) & ~self._violation)
+        for block in _blocks(rs, rest):
+            witness[block] = _zero_pairings(rs, x[block]).argmax(axis=1)
+        witness[self._violation] = -1
+        root_of = dict(zip(self._idx.tolist(), witness.tolist()))
         for i, row in enumerate(mu.tolist()):
             r = root_of.get(i)
             kind = "dominant" if r is None else "violation" if r < 0 else "singular"
@@ -109,6 +130,34 @@ class VanishingReport:
         return doc
 
 
+def _shift(lam: Weight) -> np.ndarray:
+    """``lam + rho`` in fundamental-weight coordinates, as int64."""
+    return np.array(lam.coords, dtype=np.int64) + 1
+
+
+def _blocks(rs: RootSystem, rows: np.ndarray) -> Iterator[np.ndarray]:
+    """``rows`` in slices of at most ``MAX_LIVE_KEYS // N``, so no pairing
+    block holds more entries than the exterior engine may hold keys."""
+    step = max(1, MAX_LIVE_KEYS // rs.num_positive_roots)
+    for start in range(0, rows.size, step):
+        yield rows[start : start + step]
+
+
+def _zero_pairings(rs: RootSystem, X: np.ndarray) -> np.ndarray:
+    """Boolean matrix: which pairings ``(x, gamma^v)`` of the rows of X vanish.
+
+    Read off the int64 matrix of :func:`~rootcoh.weyl.pairings` wherever its
+    guard admits X.  Past that guard (``max|X|`` times the largest coroot
+    height reaches ``2**63``), each row is paired exactly in Python ints by
+    :func:`~rootcoh.weyl.exact_pairings`, so no entry of X is refused.
+    """
+    top = max(int(X.max()), -int(X.min()))
+    if top * rs.max_coroot_height < 2**63:
+        return pairings(rs, X) == 0
+    zero = [[v == 0 for v in exact_pairings(rs, row)] for row in X.tolist()]
+    return np.array(zero, dtype=bool)
+
+
 def check_theorem1(rs: RootSystem, p: int, lam: Weight) -> VanishingReport:
     """Classify every mu in the degree-p support against lam.
 
@@ -117,14 +166,19 @@ def check_theorem1(rs: RootSystem, p: int, lam: Weight) -> VanishingReport:
     coordinate i is checked as ``lam_i + 1 + max(0, max mu_i)`` in Python
     ints, before any int64 add.  A p-subset of the negative roots and its
     complement sum to ``-2 rho``, so ``max mu_i = M_i(N - p) - 2`` with
-    ``M = rs.column_profile``, and the support need not be scanned.  Witness
-    roots are the first positive root in canonical order with vanishing
-    pairing; the first violation is the lexicographically smallest
-    violating mu.
+    ``M = rs.column_profile``, and the support need not be scanned.  The
+    first violation is the lexicographically smallest violating mu.
+
     Only the rows below ``-lam`` in some coordinate, the non-dominant ones,
-    are decoded (:func:`~rootcoh.exterior.rows_below`) and paired with the
-    coroots, in blocks of at most ``MAX_LIVE_KEYS // N`` rows, so no pairing
-    block holds more entries than the exterior engine may hold keys.
+    are decoded (:func:`~rootcoh.exterior.rows_below`), and they are
+    classified in two stages on ``x = mu + lam + rho``.  Stage 1: the pairing
+    with the simple coroot ``alpha_k^v`` is ``x_k``, so a row with a zero
+    coordinate is singular.  Stage 2: each other row is paired with every
+    positive coroot, in blocks of at most ``MAX_LIVE_KEYS // N`` rows, and is
+    a violation iff none of its pairings is 0.  A block whose pairings could
+    leave int64 is paired exactly in Python ints instead, so every lambda
+    that the guard above admits is answered.  Witness roots are found only
+    by :meth:`VanishingReport.witnesses`.
     """
     if len(lam.coords) != rs.rank:
         raise VanishingError(f"lambda has {len(lam.coords)} coordinates")
@@ -136,15 +190,12 @@ def check_theorem1(rs: RootSystem, p: int, lam: Weight) -> VanishingReport:
         raise VanishingError(
             f"lambda + rho + mu coordinates must be below 2**63, got lambda = {lam}"
         )
-    shift = np.array(lam.coords, dtype=np.int64) + 1
-    root = np.empty(idx.size, dtype=np.intp)
-    block = max(1, MAX_LIVE_KEYS // rs.num_positive_roots)
-    for start in range(0, idx.size, block):
-        zero = pairings(rs, mu[start : start + block] + shift) == 0
-        root[start : start + block] = np.where(
-            zero.any(axis=1), np.argmax(zero, axis=1), -1
-        )
-    violations = np.flatnonzero(root < 0)
+    x = mu + _shift(lam)
+    rest = np.flatnonzero(x.all(axis=1))
+    violation = np.zeros(idx.size, dtype=bool)
+    for block in _blocks(rs, rest):
+        violation[block] = ~_zero_pairings(rs, x[block]).any(axis=1)
+    violations = np.flatnonzero(violation)
     first = None
     if violations.size:
         first = Weight(tuple(mu[violations[0]].tolist()))
@@ -159,7 +210,7 @@ def check_theorem1(rs: RootSystem, p: int, lam: Weight) -> VanishingReport:
         first_violation=first,
         _rs=rs,
         _idx=idx,
-        _root=root,
+        _violation=violation,
     )
 
 

@@ -13,14 +13,16 @@ a new zero.
 One table, :attr:`~rootcoh.rootsys.RootSystem.coroot_chain`, feeds both
 pairing routines: each positive coroot is an earlier one plus a simple
 coroot, so each pairing is an earlier pairing plus one coordinate, one add
-per positive root.  :func:`weyl_dim` follows it in exact Python ints for one
-weight.  :func:`pairings` is the one batched primitive: it pairs many
-weights with every positive coroot in int64, one vector add per positive
-root.  Every partial sum is itself the pairing with some positive coroot, so
-the one guard on ``max|x|`` times the largest coroot height, checked before
-any add, covers every intermediate.  From one pairing matrix a row is
-singular iff it holds a 0, and its degree is the number of negative entries
-(the inversion count).
+per positive root.  :func:`exact_pairings` follows it in exact Python ints
+for one weight, and :func:`weyl_dim` multiplies what it returns.
+:func:`pairings` is the one batched primitive: it pairs many weights with
+every positive coroot in int64, one vector add per positive root.  Every
+partial sum is itself the pairing with some positive coroot, so the one
+guard on ``max|x|`` times the largest coroot height, checked before any add,
+covers every intermediate.  From one pairing matrix a row is singular iff it
+holds a 0, and its degree is the number of negative entries (the inversion
+count).  A simple coroot's column is the coordinate itself, ``(x, alpha_k^v)
+= x_k``, so a weight with a zero coordinate is singular before any pairing.
 """
 
 from __future__ import annotations
@@ -109,29 +111,36 @@ def pairings(rs: RootSystem, X) -> np.ndarray:
     return out[:-1].T
 
 
+def exact_pairings(rs: RootSystem, x: Sequence[int]) -> list[int]:
+    """The pairings ``(x, gamma^v)`` with every positive coroot, in canonical
+    root order, as exact Python ints for any size of ``x``.
+
+    Follows :attr:`~rootcoh.rootsys.RootSystem.coroot_chain`: each pairing is
+    an earlier one plus one coordinate of ``x``, one add per positive root.
+    """
+    # one spare zero at the end: a simple coroot's step reads its j = -1 there
+    v = [0] * (rs.num_positive_roots + 1)
+    for k, j, i in rs.coroot_chain:
+        v[k] = v[j] + x[i]
+    v.pop()
+    return v
+
+
 def weyl_dim(rs: RootSystem, lam: Weight) -> int:
     """Dimension of the irreducible representation with highest weight lam.
 
     The exact Python-int product over positive roots of
-    ``(lam + rho, gamma^v)``, divided by ``prod (rho, gamma^v)``
-    (:attr:`~rootcoh.rootsys.RootSystem.rho_denominator`).  The pairings
-    follow :attr:`~rootcoh.rootsys.RootSystem.coroot_chain`: each is an
-    earlier one plus one coordinate of ``lam + rho``, one add per positive
-    root.  Raises :class:`WeylError` on a wrong length, on a weight that is
-    not dominant, and if the quotient is not integral (the normalisation of
-    each coroot cancels factor by factor, so it always is).
+    ``(lam + rho, gamma^v)`` (:func:`exact_pairings`), divided by
+    ``prod (rho, gamma^v)`` (:attr:`~rootcoh.rootsys.RootSystem.rho_denominator`).
+    Raises :class:`WeylError` on a wrong length, on a weight that is not
+    dominant, and if the quotient is not integral (the normalisation of each
+    coroot cancels factor by factor, so it always is).
     """
     if len(lam.coords) != rs.rank:
         raise WeylError(f"weight has {len(lam.coords)} coordinates, expected {rs.rank}")
     if not lam.is_dominant:
         raise WeylError(f"weyl_dim needs a dominant weight, got {lam}")
-    xp = [c + 1 for c in lam.coords]
-    # one spare zero at the end: a simple coroot's step reads its j = -1 there
-    v = [0] * (rs.num_positive_roots + 1)
-    for k, j, i in rs.coroot_chain:
-        v[k] = v[j] + xp[i]
-    v.pop()
-    num = prod(v)
+    num = prod(exact_pairings(rs, [c + 1 for c in lam.coords]))
     den = rs.rho_denominator
     q, rem = divmod(num, den)
     if rem:

@@ -6,6 +6,8 @@ import pytest
 
 from rootcoh import exterior, root_system
 from rootcoh.cli import build_parser, main
+from rootcoh.exterior import sum_vectors
+from rootcoh.weyl import pairing
 
 
 def run(capsys, *argv):
@@ -297,6 +299,47 @@ def test_check_t1_refuses_a_sum_past_int64(capsys):
         "usage error: lambda + rho + mu coordinates must be below 2**63, "
         "got lambda = (9223372036854775806,0)\n"
     )
+
+
+def _counts_by_python_ints(rs, p, lam):
+    """Theorem 1's counts and first violation, from ``weyl.pairing`` alone."""
+    counts = {"dominant": 0, "singular": 0, "violation": 0}
+    first = None
+    for mu in sum_vectors(rs, p)[0].tolist():
+        shifted = [m + c for m, c in zip(mu, lam)]
+        if min(shifted) >= 0:
+            counts["dominant"] += 1
+        elif any(pairing(rs, [s + 1 for s in shifted], r) == 0 for r in rs.positive_roots):
+            counts["singular"] += 1
+        else:
+            counts["violation"] += 1
+            first = first or mu
+    return counts, first
+
+
+def test_check_t1_answers_past_the_pairing_guard(capsys):
+    # lambda + rho + mu fits int64, but max|x| times the largest coroot
+    # height does not: those blocks are paired in Python ints, not refused
+    code, out, err = run(
+        capsys, "check-t1", "A2", "-p", "1", "--lambda", "4611686018427387904,0"
+    )
+    assert (code, err) == (1, "")
+    counts, first = _counts_by_python_ints(root_system("A2"), 1, (2**62, 0))
+    assert (counts, first) == ({"dominant": 1, "singular": 1, "violation": 1}, [1, -2])
+    head, record = out.splitlines()
+    assert head == ("A2 p=1 lambda=(4611686018427387904,0): fail "
+                    "(dominant 1, singular 1, violations 1)")
+    assert json.loads(record)["first_violation"] == first
+
+    e8 = root_system("E8")
+    lam = (2**63 // e8.max_coroot_height + 1,) + (0,) * 7
+    code, out, err = run(capsys, "check-t1", "E8", "-p", "3", "--lambda",
+                         ",".join(map(str, lam)), "--format", "json")
+    assert (code, err) == (1, "")
+    doc = json.loads(out)
+    counts, first = _counts_by_python_ints(e8, 3, lam)
+    assert (doc["counts"], doc["first_violation"]) == (counts, first)
+    assert counts == {"dominant": 19, "singular": 35316, "violation": 522}
 
 
 @pytest.mark.parametrize(

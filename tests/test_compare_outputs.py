@@ -1,0 +1,38 @@
+"""The two-tree form of tools/compare_outputs.py lists the argv whose outputs differ."""
+
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "compare_outputs.py"
+MESSAGE = "--lambda must be comma-separated integers"
+
+
+def test_two_trees_list_the_argv_that_differ(tmp_path):
+    # tree B words one usage error differently: exactly the three `parse`
+    # runs that print it must be listed, by what differs, in family order
+    trees = [tmp_path / "a", tmp_path / "b"]
+    for tree in trees:
+        shutil.copytree(ROOT / "src" / "rootcoh", tree / "rootcoh",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    cli = trees[1] / "rootcoh" / "cli.py"
+    text = cli.read_text(encoding="utf-8")
+    assert text.count(MESSAGE) == 1
+    cli.write_text(text.replace(MESSAGE, "--lambda must be integers"), encoding="utf-8")
+
+    out = subprocess.run(
+        [sys.executable, str(TOOL), "--family", "parse", *map(str, trees)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (out.returncode, out.stderr) == (1, "")
+    head, *listed = out.stdout.splitlines()
+    name, runs_a, hash_a, runs_b, hash_b, *tail = head.split()
+    assert (name, runs_a, runs_b, tail) == ("parse", "10", "10", ["3", "differ"])
+    assert hash_a != hash_b
+    assert listed == [
+        "  stderr: check-t1 A2 -p 1 --lambda 1_0,2",
+        "  stderr: check-t1 A2 -p 1 --lambda '١٢,2'",
+        "  stderr: e1 A2 -p 1 --lambda '1,２'",
+    ]

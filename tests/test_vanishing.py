@@ -17,7 +17,8 @@ from rootcoh import (
 from rootcoh.exterior import rows_below, subset_sums_reference, sum_vectors
 from rootcoh.rootsys import Weight, all_simple_types
 from rootcoh.vanishing import VanishingError
-from rootcoh.weyl import WeylError, pairing
+from rootcoh.verify import BRUTE_TYPES
+from rootcoh.weyl import pairing, pairings
 
 
 def witness_map(report):
@@ -61,7 +62,7 @@ def test_blocked_pairing_matches_one_block(monkeypatch):
     def report(name, p, lam):
         rep = check_theorem1(root_system(name), p, Weight(lam))
         return (rep.to_json_dict(include_witnesses=True),
-                rep._idx.tolist(), rep._root.tolist())
+                rep._idx.tolist(), rep._violation.tolist())
 
     default = [report(*case) for case in cases]
     assert {doc["verdict"] for doc, _, _ in default} == {"pass", "fail"}
@@ -69,6 +70,50 @@ def test_blocked_pairing_matches_one_block(monkeypatch):
         n = root_system(case[0]).num_positive_roots
         monkeypatch.setattr(vanishing, "MAX_LIVE_KEYS", 7 * n)
         assert report(*case) == want
+
+
+def test_stage_two_finds_the_highest_coroot():
+    # (-3, 0) and (0, -3) lift to x = (-2, 2) and (1, -1): no zero coordinate,
+    # so only the full pairing finds their one zero, at the highest coroot
+    rep = check_theorem1(root_system("A2"), 2, Weight.of(0, 1))
+    assert rep.verdict == "pass"
+    assert (rep.num_dominant, rep.num_singular, rep.num_violations) == (0, 3, 0)
+    assert [(w.mu.coords, w.kind, w.singular_root.root_coords)
+            for w in rep.witnesses()] == [
+        ((-3, 0), "singular", (1, 1)),
+        ((-1, -1), "singular", (1, 0)),
+        ((0, -3), "singular", (1, 1)),
+    ]
+
+
+def _count_paired_rows(monkeypatch):
+    paired = []
+
+    def counting(rs, X):
+        paired.append(len(X))
+        return pairings(rs, X)
+
+    monkeypatch.setattr(vanishing, "pairings", counting)
+    return paired
+
+
+def test_stage_one_settles_rows_with_a_zero_coordinate(monkeypatch):
+    paired = _count_paired_rows(monkeypatch)
+    rep = check_theorem1(root_system("E6"), 5, Weight.of(3, 3, 4, 3, 4, 6))
+    assert (rep.num_dominant, rep.num_singular, rep.num_violations) == (10021, 3413, 1853)
+    assert rep._idx.size == 5266
+    assert sum(paired) == 1853
+
+
+def test_threshold_rows_all_have_a_coordinate_at_minus_one(monkeypatch):
+    # prop2_threshold's proof: at the band every non-dominant lam + mu has a
+    # coordinate equal to -1, so stage 1 settles every row and none is paired
+    paired = _count_paired_rows(monkeypatch)
+    for name in BRUTE_TYPES:
+        rs = root_system(name)
+        for p in range(rs.num_positive_roots + 1):
+            assert check_theorem1(rs, p, Weight(prop2_threshold(rs, p))).passed
+    assert paired == []
 
 
 #: Every (type, p) of rank <= 4 whose plain enumeration takes at most
@@ -100,8 +145,13 @@ def test_check_theorem1_matches_the_plain_enumeration(data):
     rs = root_system(name)
     coords = data.draw(st.lists(st.integers(0, 5), min_size=rs.rank, max_size=rs.rank))
     if data.draw(st.booleans()):
+        # the packed fields' edges, and where lam + mu + rho crosses the
+        # pairing matrix's int64 guard, past which blocks pair in Python ints
+        # (A1's guard, 2**63 - 1, is past the lambda + rho + mu guard)
+        guard = 2**63 // rs.max_coroot_height
+        edges = EDGES + ((guard - 2, guard - 1, guard) if rs.max_coroot_height > 1 else ())
         k = data.draw(st.integers(0, rs.rank - 1))
-        coords[k] = data.draw(st.sampled_from(EDGES))
+        coords[k] = data.draw(st.sampled_from(edges))
     support = _reference_support(name, p)
     vecs, _ = sum_vectors(rs, p)
     assert [tuple(row) for row in vecs.tolist()] == support
@@ -124,13 +174,7 @@ def test_check_theorem1_matches_the_plain_enumeration(data):
         x = [s + 1 for s in shifted]
         zero = [r.root_coords for r in rs.positive_roots if pairing(rs, x, r) == 0]
         want.append((mu, "singular", zero[0]) if zero else (mu, "violation", None))
-    try:
-        rep = check_theorem1(rs, p, Weight(tuple(coords)))
-    except WeylError:
-        # the pairing matrix refuses entries whose pairings could leave int64
-        top = max(abs(m + c + 1) for i in below for m, c in zip(support[i], coords))
-        assert top * rs.max_coroot_height >= 2**63
-        return
+    rep = check_theorem1(rs, p, Weight(tuple(coords)))
     got = [
         (w.mu.coords, w.kind, w.singular_root.root_coords if w.singular_root else None)
         for w in rep.witnesses()

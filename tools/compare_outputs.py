@@ -3,21 +3,33 @@
 Usage, from the root of a checkout::
 
     python3 tools/compare_outputs.py SRC_DIR
+    python3 tools/compare_outputs.py SRC_A SRC_B
+    python3 tools/compare_outputs.py --family check-t1 SRC_A SRC_B
 
-``SRC_DIR`` is the ``src`` directory of the tree under test; run the script
-once per tree and compare the lines.  Every argv is run in this process
-through ``rootcoh.cli.main``, and each family's SHA-256 covers, per run, the
-argv, the exit code, standard output and standard error.  Decimals in
-``verify-all`` output are masked, since they are wall-clock timings.
+``SRC_DIR`` is the ``src`` directory of the tree under test.  With one tree,
+every argv is run in this process through ``rootcoh.cli.main``, and each
+family's SHA-256 covers, per run, the argv, the exit code, standard output
+and standard error; it prints one line per family: name, runs, hash.
+Decimals in ``verify-all`` output are masked, since they are wall-clock
+timings.
+
+With two trees, each tree runs in a child process (``--runs``, which writes
+one JSON line per run and one per family hash), and the script prints, per
+family, the runs and both hashes, then each argv whose exit code, standard
+output or standard error differ between the trees, with what differs.  It
+exits 1 when some run differs, 0 otherwise.  ``--family`` (repeatable)
+limits either form to the named families.
 
 The families: the ops of ``perfbench/pool.json`` (read from this checkout,
 never written), ``check-t1`` on eleven types with ``p`` on both sides of
-``N/2``, ``e1``, ``phi``, ``roots``, ``certify``, ``verify-all``, ``bwb``,
-and ``parse``, the integer-parsing edge cases.
+``N/2`` and lambdas at the int64 guards, ``e1``, ``phi``, ``roots``,
+``certify``, ``verify-all``, ``bwb``, and ``parse``, the integer-parsing
+edge cases.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -25,6 +37,8 @@ import itertools
 import json
 import random
 import re
+import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -67,8 +81,12 @@ def _check_t1(root_system, prop2_threshold) -> list[list[str]]:
         for p in sorted(degrees & set(range(n + 1))):
             band = list(prop2_threshold(rs, p))
             low = [max(0, band[0] - 1)] + band[1:]
+            # where max|lambda + rho + mu| times the largest coroot height
+            # reaches 2**63, past which pairings are taken in Python ints
+            guard = 2**63 // rs.max_coroot_height
             extra = (_csv(band), _csv(low), _csv([EDGE] + [0] * (r - 1)),
-                     _csv([EDGE] * r), _csv([2**15] * r), _csv([2**62] + [1] * (r - 1)))
+                     _csv([EDGE] * r), _csv([2**15] * r), _csv([2**62] + [1] * (r - 1)),
+                     *(_csv([guard + d] + [0] * (r - 1)) for d in (-1, 0, 1)))
             for lam, fmt, wit in itertools.product(
                 _lambdas(rs, extra), FORMATS, ((), ("--witnesses",))
             ):
@@ -130,23 +148,23 @@ PARSE = [
 ]
 
 
-def families(src: Path) -> dict[str, list[list[str]]]:
+def families(src: Path) -> dict:
+    """Family name -> a function that lists its argv, for the tree ``src``."""
     sys.path.insert(0, str(src))
     from rootcoh import prop2_threshold, root_system
     from rootcoh.rootsys import all_simple_types
 
     types = all_simple_types(8)
-    per_type = [[cmd, str(t), "--format", fmt]
-                for cmd in ("roots", "certify") for t in types for fmt in FORMATS]
     return {
-        "pool": _pool(),
-        "check-t1": _check_t1(root_system, prop2_threshold),
-        "e1": _e1(root_system),
-        "phi": _phi(root_system),
-        "roots+certify": per_type,
-        "verify-all": [["verify-all", "--format", fmt] for fmt in FORMATS],
-        "bwb": _bwb(types),
-        "parse": PARSE,
+        "pool": _pool,
+        "check-t1": lambda: _check_t1(root_system, prop2_threshold),
+        "e1": lambda: _e1(root_system),
+        "phi": lambda: _phi(root_system),
+        "roots+certify": lambda: [[cmd, str(t), "--format", fmt] for cmd in ("roots", "certify")
+                                  for t in types for fmt in FORMATS],
+        "verify-all": lambda: [["verify-all", "--format", fmt] for fmt in FORMATS],
+        "bwb": lambda: _bwb(types),
+        "parse": lambda: PARSE,
     }
 
 
@@ -160,20 +178,95 @@ def run(main, argv: list[str]) -> tuple[int, str, str]:
     return code, stdout, stderr
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print("usage: python3 tools/compare_outputs.py SRC_DIR", file=sys.stderr)
-        return 2
-    src = Path(argv[0]).resolve()
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _family_hashes(src: Path, only: list[str], per_run: bool) -> None:
+    """Print one line per family: name, runs and hash; or, with ``per_run``,
+    the JSON lines of the two-tree form: ``[family, argv, code, stdout hash,
+    stderr hash]`` per run, then ``[family, runs, family hash]``."""
     fams = families(src)
+    unknown = [name for name in only if name not in fams]
+    if unknown:
+        raise SystemExit(f"unknown family {unknown[0]!r}; known: {', '.join(fams)}")
     from rootcoh.cli import main as cli_main
 
-    for name, runs in fams.items():
+    for name in only or fams:
+        runs = fams[name]()
         digest = hashlib.sha256()
         for args in runs:
             code, stdout, stderr = run(cli_main, args)
             digest.update(json.dumps([args, code, stdout, stderr]).encode())
-        print(f"{name:14s} {len(runs):6d} {digest.hexdigest()}")
+            if per_run:
+                print(json.dumps([name, args, code, _digest(stdout), _digest(stderr)]))
+        if per_run:
+            print(json.dumps([name, len(runs), digest.hexdigest()]))
+        else:
+            print(f"{name:14s} {len(runs):6d} {digest.hexdigest()}")
+
+
+def _read_runs(text: str) -> tuple[dict, dict]:
+    """(family -> (runs, hash), (family, argv) -> (code, stdout, stderr))."""
+    totals, runs = {}, {}
+    for line in text.splitlines():
+        rec = json.loads(line)
+        if len(rec) == 3:
+            totals[rec[0]] = (rec[1], rec[2])
+        else:
+            runs[rec[0], tuple(rec[1])] = tuple(rec[2:])
+    return totals, runs
+
+
+def _what_differs(a, b) -> str:
+    if a is None or b is None:
+        return "only in " + ("B" if a is None else "A")
+    parts = [f"exit {a[0]} -> {b[0]}"] if a[0] != b[0] else []
+    parts += [name for name, x, y in zip(("stdout", "stderr"), a[1:], b[1:]) if x != y]
+    return ", ".join(parts)
+
+
+def compare(src_a: Path, src_b: Path, only: list[str]) -> int:
+    """Print, per family, both hashes and the argv whose outputs differ."""
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--runs"]
+    cmd += [arg for name in only for arg in ("--family", name)]
+    children = [
+        subprocess.Popen(cmd + [str(src)], stdout=subprocess.PIPE, text=True)
+        for src in (src_a, src_b)
+    ]
+    outputs = [child.communicate()[0] for child in children]
+    if any(child.returncode for child in children):
+        print("a child run failed", file=sys.stderr)
+        return 2
+    (totals_a, runs_a), (totals_b, runs_b) = map(_read_runs, outputs)
+    # both children run the same families; a tree may still list other argv
+    keys = dict.fromkeys([*runs_a, *runs_b])
+    differ = 0
+    for name in totals_a:
+        changed = [(k[1], _what_differs(runs_a.get(k), runs_b.get(k)))
+                   for k in keys if k[0] == name and runs_a.get(k) != runs_b.get(k)]
+        (n_a, hash_a), (n_b, hash_b) = totals_a[name], totals_b[name]
+        print(f"{name:14s} {n_a:6d} {hash_a} {n_b:6d} {hash_b} {len(changed)} differ")
+        for args, what in changed:
+            print(f"  {what}: {shlex.join(args)}")
+        differ += len(changed)
+    return 1 if differ else 0
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(prog="compare_outputs.py")
+    parser.add_argument("src", nargs="+", type=Path, help="one or two src directories")
+    parser.add_argument("--family", action="append", default=[],
+                        help="limit the run to this family (repeatable)")
+    parser.add_argument("--runs", action="store_true",
+                        help="one JSON line per run, for the two-tree form")
+    args = parser.parse_args(argv)
+    if len(args.src) > 2 or (args.runs and len(args.src) != 1):
+        parser.error("give one SRC_DIR, or two to compare")
+    srcs = [src.resolve() for src in args.src]
+    if len(srcs) == 2:
+        return compare(*srcs, args.family)
+    _family_hashes(srcs[0], args.family, args.runs)
     return 0
 
 
