@@ -408,18 +408,14 @@ _HANDLERS = {
 
 
 def _join_lambda(argv: list[str]) -> list[str]:
-    """Fold '--lambda -2,1' into '--lambda=-2,1' so negatives parse."""
+    """Fold '--lambda -2,1' into '--lambda=-2,1' so negatives parse, and so
+    every prefix that argparse takes for '--lambda', such as '--lam -2,1'."""
     out = []
     it = iter(argv)
     for token in it:
-        if token == "--lambda":
-            value = next(it, None)
-            if value is None:
-                out.append(token)
-            else:
-                out.append(f"--lambda={value}")
-        else:
-            out.append(token)
+        folds = len(token) > 2 and "--lambda".startswith(token)
+        value = next(it, None) if folds else None
+        out.append(token if value is None else f"{token}={value}")
     return out
 
 

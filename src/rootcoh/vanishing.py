@@ -8,7 +8,7 @@ twisted (p, q) cohomology for all q >= 1.  Only the non-dominant rows are
 decoded, and they are classified in two stages: the pairing with the simple
 coroot ``alpha_k^v`` is coordinate k of ``x = lam + mu + rho``, so a row with
 a zero coordinate is singular at once, and only the rest are paired with
-every positive coroot.
+every positive coroot (:func:`~rootcoh.weyl.pairings`, exact for any ints).
 
 ``prop2_threshold`` gives closed-form per-coordinate lower bounds on lam that
 guarantee a pass on every type, read off the column profile of the
@@ -25,7 +25,7 @@ import numpy as np
 
 from .exterior import MAX_LIVE_KEYS, rows_below, sum_vectors
 from .rootsys import Root, RootSystem, Weight, SCHEMA
-from .weyl import exact_pairings, pairings
+from .weyl import pairings
 
 
 class VanishingError(ValueError):
@@ -70,23 +70,19 @@ class VanishingReport:
         """Per-mu records, in lexicographic order of mu.
 
         A singular row's witness is the first positive root in canonical
-        order whose coroot pairs ``lam + mu + rho`` to zero.  Roots come by
-        ascending height, so the simple roots come first: a row with a zero
-        coordinate takes the first simple root at a zero coordinate, and only
-        the singular rows with no zero coordinate are paired, in blocks as
-        in :func:`check_theorem1`.
+        order whose coroot pairs ``lam + mu + rho`` to zero: the ``argmax``
+        of its zero pairings, with every singular row paired in blocks as in
+        :func:`check_theorem1`.  Roots come by ascending height, so a row
+        with a zero coordinate takes the first simple root at a zero
+        coordinate.
         """
         rs = self._rs
         roots = rs.positive_roots
-        n = rs.num_positive_roots
         mu, _ = sum_vectors(rs, self.p)
         x = mu[self._idx] + _shift(self.lam)
-        simple = np.array([rs.index_of(rs.simple_root(k).root_coords) for k in range(rs.rank)])
-        witness = np.where(x == 0, simple, n).min(axis=1)
-        rest = np.flatnonzero((witness == n) & ~self._violation)
-        for block in _blocks(rs, rest):
-            witness[block] = _zero_pairings(rs, x[block]).argmax(axis=1)
-        witness[self._violation] = -1
+        witness = np.full(self._idx.size, -1)
+        for block in _blocks(rs, np.flatnonzero(~self._violation)):
+            witness[block] = (pairings(rs, x[block]) == 0).argmax(axis=1)
         root_of = dict(zip(self._idx.tolist(), witness.tolist()))
         for i, row in enumerate(mu.tolist()):
             r = root_of.get(i)
@@ -143,21 +139,6 @@ def _blocks(rs: RootSystem, rows: np.ndarray) -> Iterator[np.ndarray]:
         yield rows[start : start + step]
 
 
-def _zero_pairings(rs: RootSystem, X: np.ndarray) -> np.ndarray:
-    """Boolean matrix: which pairings ``(x, gamma^v)`` of the rows of X vanish.
-
-    Read off the int64 matrix of :func:`~rootcoh.weyl.pairings` wherever its
-    guard admits X.  Past that guard (``max|X|`` times the largest coroot
-    height reaches ``2**63``), each row is paired exactly in Python ints by
-    :func:`~rootcoh.weyl.exact_pairings`, so no entry of X is refused.
-    """
-    top = max(int(X.max()), -int(X.min()))
-    if top * rs.max_coroot_height < 2**63:
-        return pairings(rs, X) == 0
-    zero = [[v == 0 for v in exact_pairings(rs, row)] for row in X.tolist()]
-    return np.array(zero, dtype=bool)
-
-
 def check_theorem1(rs: RootSystem, p: int, lam: Weight) -> VanishingReport:
     """Classify every mu in the degree-p support against lam.
 
@@ -175,10 +156,10 @@ def check_theorem1(rs: RootSystem, p: int, lam: Weight) -> VanishingReport:
     with the simple coroot ``alpha_k^v`` is ``x_k``, so a row with a zero
     coordinate is singular.  Stage 2: each other row is paired with every
     positive coroot, in blocks of at most ``MAX_LIVE_KEYS // N`` rows, and is
-    a violation iff none of its pairings is 0.  A block whose pairings could
-    leave int64 is paired exactly in Python ints instead, so every lambda
-    that the guard above admits is answered.  Witness roots are found only
-    by :meth:`VanishingReport.witnesses`.
+    a violation iff none of its pairings is 0.  :func:`~rootcoh.weyl.pairings`
+    is exact past int64, so every lambda that the guard above admits is
+    answered.  Witness roots are found only by
+    :meth:`VanishingReport.witnesses`.
     """
     if len(lam.coords) != rs.rank:
         raise VanishingError(f"lambda has {len(lam.coords)} coordinates")
@@ -194,7 +175,7 @@ def check_theorem1(rs: RootSystem, p: int, lam: Weight) -> VanishingReport:
     rest = np.flatnonzero(x.all(axis=1))
     violation = np.zeros(idx.size, dtype=bool)
     for block in _blocks(rs, rest):
-        violation[block] = ~_zero_pairings(rs, x[block]).any(axis=1)
+        violation[block] = ~(pairings(rs, x[block]) == 0).any(axis=1)
     violations = np.flatnonzero(violation)
     first = None
     if violations.size:

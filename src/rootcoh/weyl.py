@@ -15,14 +15,15 @@ pairing routines: each positive coroot is an earlier one plus a simple
 coroot, so each pairing is an earlier pairing plus one coordinate, one add
 per positive root.  :func:`exact_pairings` follows it in exact Python ints
 for one weight, and :func:`weyl_dim` multiplies what it returns.
-:func:`pairings` is the one batched primitive: it pairs many weights with
-every positive coroot in int64, one vector add per positive root.  Every
-partial sum is itself the pairing with some positive coroot, so the one
-guard on ``max|x|`` times the largest coroot height, checked before any add,
-covers every intermediate.  From one pairing matrix a row is singular iff it
-holds a 0, and its degree is the number of negative entries (the inversion
-count).  A simple coroot's column is the coordinate itself, ``(x, alpha_k^v)
-= x_k``, so a weight with a zero coordinate is singular before any pairing.
+:func:`pairings` is the one batched primitive, exact for every integer
+input.  It pairs many weights with every positive coroot in int64, one
+vector add per positive root, while ``max|x|`` times the largest coroot
+height is below ``2**63``: every partial sum is itself the pairing with some
+positive coroot, so that one bound, checked before any add, covers every
+intermediate.  Past it each row goes through :func:`exact_pairings`.  From
+one pairing matrix a row is singular iff it holds a 0, and its degree is the
+number of negative entries (the inversion count).  As ``(x, alpha_k^v) =
+x_k``, a weight with a zero coordinate is singular before any pairing.
 """
 
 from __future__ import annotations
@@ -83,24 +84,25 @@ def pairing(rs: RootSystem, mu: Weight | Sequence[int], gamma: Root) -> int:
 
 
 def pairings(rs: RootSystem, X) -> np.ndarray:
-    """All pairings (x, gamma^v) as an int64 matrix, the values of ``X @ C.T``.
+    """All pairings (x, gamma^v), the values of ``X @ C.T``, exact for any ints.
 
-    Row i of the result pairs row i of ``X`` with every positive coroot, in
-    canonical root order.  Raises :class:`WeylError` before any arithmetic
-    when ``max|X|`` times :attr:`~rootcoh.rootsys.RootSystem.max_coroot_height`
-    could leave int64.  Column ``k`` is built as column ``j`` plus column
-    ``i`` of ``X`` for each step ``(k, j, i)`` of
-    :attr:`~rootcoh.rootsys.RootSystem.coroot_chain`; each partial sum is a
-    final entry, so none can pass the guarded bound.  The result is the
-    transpose of a C-ordered array: each column is contiguous.
+    Row i pairs row i of ``X`` with every positive coroot, in canonical root
+    order.  While ``max|X|`` times
+    :attr:`~rootcoh.rootsys.RootSystem.max_coroot_height` is below ``2**63``
+    (checked before any add) the result is int64: column ``k`` is column ``j``
+    plus column ``i`` of ``X`` for each step ``(k, j, i)`` of
+    :attr:`~rootcoh.rootsys.RootSystem.coroot_chain`, so each partial sum is
+    a final entry and none passes the bound.  Past it the result is an object
+    array whose rows are :func:`exact_pairings`.  Raises :class:`WeylError`
+    only on a wrong shape.
     """
-    X = np.asarray(X)
+    A = np.asarray(X)
+    # lists of ints mixing [2**63, 2**64) with others load as float64: keep them exact
+    X = np.array(X, dtype=object) if A.dtype.kind == "f" else A
     if X.ndim != 2 or X.shape[1] != rs.rank:
         raise WeylError(f"pairings need rows of {rs.rank} coordinates, got shape {X.shape}")
-    if X.size:
-        top = max(int(X.max()), -int(X.min()))
-        if top * rs.max_coroot_height >= 2**63:
-            raise WeylError(f"pairings of entries up to {top} could overflow int64")
+    if X.size and max(int(X.max()), -int(X.min())) * rs.max_coroot_height >= 2**63:
+        return np.array([exact_pairings(rs, row) for row in X.tolist()], dtype=object)
     cols = list(np.ascontiguousarray(X.T, dtype=np.int64))
     # one spare zero row: a simple coroot's step reads its j = -1 there
     out = np.empty((rs.num_positive_roots + 1, X.shape[0]), dtype=np.int64)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import shutil
 
 import pytest
 
@@ -77,6 +78,19 @@ def test_criterion9_catches_a_corrupted_outcome(monkeypatch, corrupt, message):
     res = check_bwb_oracle()
     assert not res.ok
     assert res.detail.startswith(f"B3 {target}: {message}")
+
+
+def test_criterion1_reports_a_missing_or_changed_golden_table(tmp_path):
+    res = check_appendix_tables(tmp_path / "missing")
+    assert not res.ok and res.detail.endswith("not found")
+    golden = tmp_path / "golden"
+    shutil.copytree(verify.default_golden_dir(), golden)
+    table = golden / "G2.txt"
+    text = table.read_text()
+    assert "2 3 -> 1 0\n" in text
+    table.write_text(text.replace("2 3 -> 1 0\n", "2 3 -> 1 1\n"))
+    res = check_appendix_tables(golden)
+    assert not res.ok and res.detail == "mismatch in ['G2']"
 
 
 def test_sweeps_build_each_type_once_and_ignore_cache_state(monkeypatch):

@@ -182,6 +182,18 @@ def test_bwb_command(capsys):
     assert "singular" in out
 
 
+@pytest.mark.parametrize("flag, lam", [("--lam", "-1,1"), ("--l", "-2,1")])
+@pytest.mark.parametrize(
+    "command", [("bwb", "A2"), ("e1", "A2", "-p", "1"), ("check-t1", "A2", "-p", "1")]
+)
+def test_abbreviated_lambda_takes_a_negative_value(capsys, command, flag, lam):
+    # argparse takes any prefix of --lambda, so each one must be folded with its
+    # value, or a leading '-' reads as an option
+    full = run(capsys, *command, "--lambda", lam)
+    assert "expected one argument" not in full[2]
+    assert run(capsys, *command, flag, lam) == full
+
+
 def test_coxeter_command(capsys):
     code, out, _ = run(capsys, "coxeter", "G2", "--format", "json")
     assert code == 0

@@ -5,7 +5,9 @@ A top-level import counts as used when the module names it anywhere (in
 code or in an annotation); in ``__init__`` a name listed in ``__all__`` is
 used too, since re-exporting it is the point of the import.  The packed
 int64 keys of the exterior engine stay inside ``exterior.py``: no other
-module imports or reaches the names that read or write them.
+module imports or reaches the names that read or write them.  Likewise the
+exact fallback of the pairing primitive is named only in ``weyl.py``, so no
+module forks the choice between the int64 and the Python-int pairing.
 """
 
 import ast
@@ -75,3 +77,19 @@ def test_packed_keys_stay_in_exterior(path):
         elif isinstance(node, ast.Attribute) and node.attr in PACKED:
             used.add(node.attr)
     assert not used, f"{path.name} reaches the packed-key format through {sorted(used)}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_exact_pairings_stay_in_weyl(path):
+    if path.name == "weyl.py":
+        return
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    named = False
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            named |= any(a.name == "exact_pairings" for a in node.names)
+        elif isinstance(node, ast.Attribute):
+            named |= node.attr == "exact_pairings"
+        elif isinstance(node, ast.Name):
+            named |= node.id == "exact_pairings"
+    assert not named, f"{path.name} names exact_pairings; call weyl.pairings instead"

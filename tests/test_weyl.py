@@ -97,17 +97,44 @@ def test_pairings_match_pairing():
         assert empty.shape == (0, rs.num_positive_roots)
 
 
-def test_pairings_refuse_overflow():
+def test_pairings_are_exact_past_the_guard():
     g2 = root_system("G2")  # largest absolute coroot row sum: 3 + 2 = 5
     assert pairings(g2, [[2**60, 0]]).max() == 3 * 2**60
-    with pytest.raises(WeylError, match="overflow"):
-        pairings(g2, np.array([[2**61, 0]], dtype=np.int64))
-    with pytest.raises(WeylError, match="overflow"):
-        pairings(g2, np.array([[0, -(2**63)]], dtype=np.int64))
-    with pytest.raises(WeylError, match="overflow"):
-        pairings(g2, [[2**70, 1]])
+    for X in (
+        np.array([[2**61, 0]], dtype=np.int64),
+        np.array([[0, -(2**63)]], dtype=np.int64),
+        [[2**70, 1], [0, 0]],
+    ):
+        got = pairings(g2, X)
+        assert got.dtype == object
+        rows = np.asarray(X).tolist()
+        assert got.tolist() == [[pairing(g2, x, r) for r in g2.positive_roots] for x in rows]
     with pytest.raises(WeylError):
         pairings(g2, [[1, 2, 3]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_pairings_are_exact_for_any_ints(data):
+    # rows at the int64 bound 2**63 // max_coroot_height and either side of
+    # it, far past it, and at the least int64; int64 below the bound, Python
+    # ints above it, and equal to the Python-int pairing either way
+    rs = root_system(data.draw(st.sampled_from(all_simple_types(8))))
+    edge = 2**63 // rs.max_coroot_height
+    near = [s * (edge + d) for s in (1, -1) for d in (-1, 0, 1)]
+    coord = st.one_of(
+        st.integers(-8, 8), st.sampled_from(near + [2**70, -(2**70), -(2**63)])
+    )
+    rows = data.draw(
+        st.lists(st.lists(coord, min_size=rs.rank, max_size=rs.rank), min_size=1, max_size=3)
+    )
+    top = max(abs(c) for row in rows for c in row)
+    X = rows
+    if top < 2**63 and data.draw(st.booleans()):
+        X = np.array(rows, dtype=np.int64)
+    got = pairings(rs, X)
+    assert got.dtype == (np.int64 if top * rs.max_coroot_height < 2**63 else object)
+    assert got.tolist() == [[pairing(rs, x, r) for r in rs.positive_roots] for x in rows]
 
 
 def test_cached_tables_survive_a_json_round_trip():
@@ -172,7 +199,7 @@ def test_bwb_refuses_a_table_of_an_infinite_group():
 @given(data=st.data())
 def test_bwb_is_exact_past_int64(data):
     # long reflection paths on coordinates where an int64 update would wrap;
-    # pairings() refuses these, so the oracle is the Python-int pairing
+    # the oracle is the Python-int pairing
     rs = root_system(data.draw(st.sampled_from(all_simple_types(8))))
     coord = st.one_of(st.integers(-8, 8), st.integers(-(2**70), 2**70))
     lam = Weight(data.draw(st.tuples(*[coord for _ in range(rs.rank)])))
