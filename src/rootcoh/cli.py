@@ -1,7 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 success / verified, 1 a verification or certificate check
-failed (a machine-readable failure record is printed to standard output),
+failed (in table format the last line of standard output is a
+machine-readable failure record; in JSON format standard output is the one
+document, whose ``verdict``, ``valid`` or ``ok`` field shows the failure),
 2 usage error: input outside the contract (one ``usage error:`` line on
 standard error) or a job refused because it would pass the exterior
 engine's working-set cap or int64 multiplicities (one ``refused:`` line).
@@ -79,27 +81,18 @@ def _emit(doc: dict) -> None:
     print(json.dumps(doc, indent=2))
 
 
-def _fail_record(command: str, **fields) -> None:
-    record = {"schema": SCHEMA, "kind": "failure", "command": command}
-    record.update(fields)
-    print(json.dumps(record))
-
-
-def _cmd_roots(args) -> int:
-    rs = root_system(args.type)
+def _cmd_roots(args, rs: RootSystem, lam: None) -> None:
     if args.format == "json":
         _emit(rs_to_json_dict(rs))
-        return 0
+        return
     width = max(len(" ".join(str(c) for c in r.root_coords)) for r in rs.positive_roots)
     for r in rs.positive_roots:
         rc = " ".join(str(c) for c in r.root_coords)
         wc = " ".join(f"{c:3d}" for c in r.weight.coords)
         print(f"({rc:<{width}})  <->  ({wc})")
-    return 0
 
 
-def _cmd_coxeter(args) -> int:
-    rs = root_system(args.type)
+def _cmd_coxeter(args, rs: RootSystem, lam: None) -> None:
     h, per = rs.coxeter_number, rs.coxeter_per_root
     if args.format == "json":
         _emit(
@@ -112,36 +105,28 @@ def _cmd_coxeter(args) -> int:
                 "column_classes": list(column_classes(rs)),
             }
         )
-        return 0
+        return
     print(f"{rs.simple_type}: h = {h}")
     for i, (v, cls) in enumerate(zip(per, column_classes(rs)), start=1):
         print(f"  h_alpha_{i} = {v:3d}  ({cls})")
-    return 0
 
 
-def _cmd_bwb(args) -> int:
-    rs = root_system(args.type)
-    lam = _parse_lambda(rs, args.lam)
+def _cmd_bwb(args, rs: RootSystem, lam: Weight) -> None:
     outcome = bwb(rs, lam)
     if args.format == "json":
         doc = {"schema": SCHEMA, "type": str(rs.simple_type), "lambda": list(lam.coords)}
         doc.update(outcome.to_json_dict())
         _emit(doc)
-        return 0
-    if outcome.is_singular:
+    elif outcome.is_singular:
         print(f"{rs.simple_type} lambda={lam}: singular, all cohomology vanishes")
     else:
         print(
             f"{rs.simple_type} lambda={lam}: degree {outcome.degree}, "
             f"dominant {outcome.dominant}, dim {outcome.dim}"
         )
-    return 0
 
 
-def _cmd_phi(args) -> int:
-    rs = root_system(args.type)
-    if args.p is None:
-        raise UsageError("-p is required for phi")
+def _cmd_phi(args, rs: RootSystem, lam: None) -> None:
     vecs, counts = phi_sums(rs, args.p, args.sign)
     weights, mults = vecs.tolist(), counts.tolist()
     total = sum(mults)
@@ -159,7 +144,7 @@ def _cmd_phi(args) -> int:
                 "sign": args.sign,
             }
         )
-        return 0
+        return
     print(
         f"{rs.simple_type} sums of {args.p} distinct "
         f"{'positive' if args.sign == '+' else 'negative'} roots: "
@@ -167,18 +152,13 @@ def _cmd_phi(args) -> int:
     )
     for w, m in zip(weights, mults):
         print(f"  {Weight(tuple(w))}  x{m}")
-    return 0
 
 
-def _cmd_e1(args) -> int:
-    rs = root_system(args.type)
-    if args.p is None:
-        raise UsageError("-p is required for e1")
-    lam = _parse_lambda(rs, args.lam)
+def _cmd_e1(args, rs: RootSystem, lam: Weight) -> None:
     page = e1_page(rs, args.p, lam)
     if args.format == "json":
         _emit(page.to_json_dict())
-        return 0
+        return
     print(f"{rs.simple_type} p={args.p} lambda={lam}:")
     if not page.buckets:
         print("  all weights singular; every degree vanishes")
@@ -186,14 +166,9 @@ def _cmd_e1(args) -> int:
         print(f"  degree {q}: {v}")
     print(f"  euler characteristic: {page.euler}")
     print(f"  concentrated: {'yes' if page.concentrated else 'no'}")
-    return 0
 
 
-def _cmd_check_t1(args) -> int:
-    rs = root_system(args.type)
-    if args.p is None:
-        raise UsageError("-p is required for check-t1")
-    lam = _parse_lambda(rs, args.lam)
+def _cmd_check_t1(args, rs: RootSystem, lam: Weight) -> dict | None:
     report = check_theorem1(rs, args.p, lam)
     if args.format == "json":
         _emit(report.to_json_dict(include_witnesses=args.witnesses))
@@ -211,21 +186,16 @@ def _cmd_check_t1(args) -> int:
                     else ""
                 )
                 print(f"  {w.mu}: {w.kind}{root}")
-    if report.passed:
-        return 0
-    if args.format != "json":
-        _fail_record(
-            "check-t1",
-            type=str(rs.simple_type),
-            p=args.p,
-            verdict="fail",
-            first_violation=list(report.first_violation.coords),
-        )
-    return 1
+    if not report.passed:
+        return {
+            "type": str(rs.simple_type),
+            "p": args.p,
+            "verdict": "fail",
+            "first_violation": list(report.first_violation.coords),
+        }
 
 
-def _cmd_thresholds(args) -> int:
-    rs = root_system(args.type)
+def _cmd_thresholds(args, rs: RootSystem, lam: None) -> None:
     degrees = [args.p] if args.p is not None else list(range(rs.num_positive_roots + 1))
     rows = [{"p": p, "bounds": list(prop2_threshold(rs, p))} for p in degrees]
     per_root = list(corollary_bound(rs, "per_root"))
@@ -241,13 +211,12 @@ def _cmd_thresholds(args) -> int:
                 "all_degrees_global": glob,
             }
         )
-        return 0
+        return
     print(f"{rs.simple_type}: coordinate lower bounds for the vanishing hypothesis")
     for row in rows:
         print(f"  p={row['p']:3d}: {tuple(row['bounds'])}")
     print(f"  any p (per root): {tuple(per_root)}")
     print(f"  any p (global):   {tuple(glob)}")
-    return 0
 
 
 def _explain_certificate(cert) -> None:
@@ -272,8 +241,7 @@ def _explain_certificate(cert) -> None:
     )
 
 
-def _cmd_certify(args) -> int:
-    rs = root_system(args.type)
+def _cmd_certify(args, rs: RootSystem, lam: None) -> dict | None:
     cert = build_certificate(rs)
     if args.format == "json":
         _emit(cert.to_json_dict())
@@ -293,14 +261,11 @@ def _cmd_certify(args) -> int:
             )
         if args.explain:
             _explain_certificate(cert)
-    if cert.valid:
-        return 0
-    if args.format != "json":
-        _fail_record("certify", type=cert.type, failure=cert.failure)
-    return 1
+    if not cert.valid:
+        return {"type": cert.type, "failure": cert.failure}
 
 
-def _cmd_verify_all(args) -> int:
+def _cmd_verify_all(args, rs: None, lam: None) -> dict | None:
     golden = Path(args.golden_dir) if args.golden_dir else None
     results = verify_all(golden_dir=golden)
     if args.format == "json":
@@ -325,19 +290,17 @@ def _cmd_verify_all(args) -> int:
     else:
         for r in results:
             print(r.line)
-    if all(r.ok for r in results):
-        return 0
-    if args.format != "json":
-        failed = [r.name for r in results if not r.ok]
-        _fail_record("verify-all", failed=failed)
-    return 1
+    if not all(r.ok for r in results):
+        return {"failed": [r.name for r in results if not r.ok]}
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command line parser, built once per process on first use.
 
-    Parsing keeps no state on the parser, so every :func:`main` call shares it.
+    Each subcommand is declared once, by ``command``, which binds its
+    handler; parsing keeps no state on the parser, so every :func:`main`
+    call shares it.
     """
     parser = _Parser(
         prog="rootcoh",
@@ -349,62 +312,40 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"rootcoh {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_p=False, needs_lambda=False):
-        p.add_argument("type", help="simple type, e.g. A3, B4, E8, G2")
+    def command(name, handler, summary, typed=True, needs_p=False, needs_lambda=False):
+        p = sub.add_parser(name, help=summary)
+        if typed:
+            p.add_argument("type", help="simple type, e.g. A3, B4, E8, G2")
         p.add_argument("--format", choices=("table", "json"), default="table")
         if needs_p:
             p.add_argument("-p", type=_strict_int, default=None, help="exterior degree")
         if needs_lambda:
-            p.add_argument(
-                "--lambda",
-                dest="lam",
-                default=None,
-                help="weight as comma-separated integers, one per node",
-            )
+            p.add_argument("--lambda", dest="lam", default=None,
+                           help="weight as comma-separated integers, one per node")
+        p.set_defaults(handler=handler, needs_p=needs_p)
+        return p
 
-    common(sub.add_parser("roots", help="positive-root table in both coordinates"))
-    common(sub.add_parser("coxeter", help="Coxeter number and per-root numbers"))
-    common(sub.add_parser("bwb", help="regularize one weight"), needs_lambda=True)
-    p_phi = sub.add_parser("phi", help="sums of p distinct roots")
-    common(p_phi, needs_p=True)
-    p_phi.add_argument("--sign", choices=("+", "-"), default="-")
-    p_e1 = sub.add_parser("e1", help="per-degree totals of a twisted exterior power")
-    common(p_e1, needs_p=True, needs_lambda=True)
-    p_t1 = sub.add_parser("check-t1", help="dominance-or-singularity hypothesis check")
-    common(p_t1, needs_p=True, needs_lambda=True)
-    p_t1.add_argument("--witnesses", action="store_true", help="print per-weight records")
-    common(
-        sub.add_parser("thresholds", help="closed-form sufficient lower bounds"),
-        needs_p=True,
-    )
-    p_cert = sub.add_parser("certify", help="nonvanishing certificate for H^{d-1,1}")
-    common(p_cert)
-    p_cert.add_argument(
-        "--explain",
-        action="store_true",
-        help="print the spliced exact sequences schematically",
-    )
-    p_all = sub.add_parser("verify-all", help="run the full verification suite")
-    p_all.add_argument("--format", choices=("table", "json"), default="table")
-    p_all.add_argument(
-        "--golden-dir",
-        default=None,
-        help="directory of golden tables (default tests/golden)",
-    )
+    command("roots", _cmd_roots, "positive-root table in both coordinates")
+    command("coxeter", _cmd_coxeter, "Coxeter number and per-root numbers")
+    command("bwb", _cmd_bwb, "regularize one weight", needs_lambda=True)
+    phi = command("phi", _cmd_phi, "sums of p distinct roots", needs_p=True)
+    phi.add_argument("--sign", choices=("+", "-"), default="-")
+    command("e1", _cmd_e1, "per-degree totals of a twisted exterior power",
+            needs_p=True, needs_lambda=True)
+    t1 = command("check-t1", _cmd_check_t1, "dominance-or-singularity hypothesis check",
+                 needs_p=True, needs_lambda=True)
+    t1.add_argument("--witnesses", action="store_true", help="print per-weight records")
+    # -p is optional here: without it every degree is listed
+    thresholds = command("thresholds", _cmd_thresholds, "closed-form sufficient lower bounds")
+    thresholds.add_argument("-p", type=_strict_int, default=None, help="exterior degree")
+    cert = command("certify", _cmd_certify, "nonvanishing certificate for H^{d-1,1}")
+    cert.add_argument("--explain", action="store_true",
+                      help="print the spliced exact sequences schematically")
+    every = command("verify-all", _cmd_verify_all, "run the full verification suite",
+                    typed=False)
+    every.add_argument("--golden-dir", default=None,
+                       help="directory of golden tables (default tests/golden)")
     return parser
-
-
-_HANDLERS = {
-    "roots": _cmd_roots,
-    "coxeter": _cmd_coxeter,
-    "bwb": _cmd_bwb,
-    "phi": _cmd_phi,
-    "e1": _cmd_e1,
-    "check-t1": _cmd_check_t1,
-    "thresholds": _cmd_thresholds,
-    "certify": _cmd_certify,
-    "verify-all": _cmd_verify_all,
-}
 
 
 def _join_lambda(argv: list[str]) -> list[str]:
@@ -420,12 +361,20 @@ def _join_lambda(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand and return its exit code.  The inputs that handlers
+    share are resolved here, in this order: the catalogue of ``type``, a
+    required ``-p``, then ``--lambda``.  A handler prints its output and
+    returns ``None`` or the fields of its failure record."""
     if argv is None:
         argv = sys.argv[1:]
     argv = _join_lambda(list(argv))
     try:
         args = build_parser().parse_args(argv)
-        return _HANDLERS[args.command](args)
+        rs = root_system(args.type) if "type" in args else None
+        if args.needs_p and args.p is None:
+            raise UsageError(f"-p is required for {args.command}")
+        lam = _parse_lambda(rs, args.lam) if "lam" in args else None
+        failure = args.handler(args, rs, lam)
     except SystemExit as exc:  # from parse_args: -h and --version
         return USAGE_ERROR if exc.code not in (0, None) else 0
     except (
@@ -441,6 +390,12 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    if failure is None:
+        return 0
+    if args.format != "json":
+        print(json.dumps({"schema": SCHEMA, "kind": "failure", "command": args.command,
+                          **failure}))
+    return 1
 
 
 def entry() -> None:

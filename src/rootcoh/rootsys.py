@@ -52,6 +52,13 @@ _RANKS = {
 }
 
 
+#: Largest ``|Phi+| * rank`` a catalogue may hold, checked before it is built:
+#: the 2**22 that bounds the exterior engine's live keys (``MAX_LIVE_KEYS``),
+#: kept here since this module cannot import that one.  It admits A <= 202
+#: and B, C, D <= 161.
+MAX_CATALOGUE_ENTRIES = 2**22
+
+
 class RootSystemError(ValueError):
     """Raised when a simple type or root-system document is malformed."""
 
@@ -404,8 +411,16 @@ def build_root_system(t: SimpleType) -> RootSystem:
     using integer arithmetic only; it hands over each root's weight
     coordinates with its root coordinates.  The result is cached
     per type; RootSystem is immutable and safe to share between threads.
+    A type whose ``|Phi+| * rank`` passes :data:`MAX_CATALOGUE_ENTRIES` is
+    refused before anything is allocated.
     """
     n = t.rank
+    entries = _POSITIVE_COUNT[t.family](n) * n
+    if entries > MAX_CATALOGUE_ENTRIES:
+        raise RootSystemError(
+            f"{t}: |Phi+| * rank = {entries} passes the catalogue bound "
+            f"{MAX_CATALOGUE_ENTRIES}"
+        )
     cartan = _cartan(t)
     hn = _half_norms(t)
     for i in range(n):
@@ -524,19 +539,8 @@ def rs_to_json_dict(rs: RootSystem) -> dict:
 
 def all_simple_types(max_rank: int = 8) -> list[SimpleType]:
     """Every valid simple type up to the given rank, in a stable order."""
-    out: list[SimpleType] = []
-    for n in range(1, max_rank + 1):
-        out.append(SimpleType("A", n))
-    for fam in ("B", "C"):
-        for n in range(2, max_rank + 1):
-            out.append(SimpleType(fam, n))
-    for n in range(4, max_rank + 1):
-        out.append(SimpleType("D", n))
-    for n in (6, 7, 8):
-        if n <= max_rank:
-            out.append(SimpleType("E", n))
-    if max_rank >= 4:
-        out.append(SimpleType("F", 4))
-    if max_rank >= 2:
-        out.append(SimpleType("G", 2))
-    return out
+    return [
+        SimpleType(family, n)
+        for family, (lo, hi) in _RANKS.items()
+        for n in range(lo, min(max_rank, hi or max_rank) + 1)
+    ]

@@ -1,11 +1,13 @@
 """End-to-end command line behaviour, exit codes, and JSON round trips."""
 
+import dataclasses
 import json
 
 import pytest
 
-from rootcoh import exterior, root_system
+from rootcoh import cli, exterior, root_system
 from rootcoh.cli import build_parser, main
+from rootcoh.nonvanishing import build_certificate
 from rootcoh.exterior import sum_vectors
 from rootcoh.weyl import pairing
 
@@ -114,6 +116,43 @@ def test_check_t1_failure_record(capsys):
     record = json.loads(out.splitlines()[-1])
     assert record["kind"] == "failure"
     assert record["first_violation"] == [-2, 1]
+
+
+def test_check_t1_json_failure_is_the_one_document(capsys):
+    code, out, _ = run(capsys, "check-t1", "A2", "-p", "1", "--lambda", "0,0",
+                       "--format", "json")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["verdict"] == "fail"
+    assert doc.get("kind") != "failure"
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_verify_all_failure_with_a_missing_golden_dir(capsys, tmp_path, fmt):
+    code, out, _ = run(capsys, "verify-all", "--golden-dir", str(tmp_path / "missing"),
+                       "--format", fmt)
+    assert code == 1
+    if fmt == "json":
+        assert json.loads(out)["ok"] is False
+    else:
+        assert json.loads(out.splitlines()[-1]) == {
+            "schema": "rootcoh/1", "kind": "failure", "command": "verify-all",
+            "failed": ["appendix-tables"],
+        }
+
+
+def test_certify_failure_record(capsys, monkeypatch):
+    def invalid(rs):
+        return dataclasses.replace(build_certificate(rs), valid=False, failure="broken")
+
+    monkeypatch.setattr(cli, "build_certificate", invalid)
+    code, out, _ = run(capsys, "certify", "G2")
+    assert code == 1
+    assert "invalid certificate: broken" in out
+    assert json.loads(out.splitlines()[-1]) == {
+        "schema": "rootcoh/1", "kind": "failure", "command": "certify",
+        "type": "G2", "failure": "broken",
+    }
 
 
 def test_check_t1_pass(capsys):
@@ -276,6 +315,7 @@ def test_verify_all_json(capsys):
         ("check-t1", "A2", "-p", "1", "--lambda", "\u0661\u0662,2"),
         ("check-t1", "A2", "-p", "\u0661", "--lambda", "1,1"),
         ("phi", "A2", "-p", "1_0"),
+        ("roots", "A203"),
     ],
 )
 def test_out_of_contract_input_is_one_line_usage_error(capsys, argv):

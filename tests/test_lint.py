@@ -7,7 +7,9 @@ used too, since re-exporting it is the point of the import.  The packed
 int64 keys of the exterior engine stay inside ``exterior.py``: no other
 module imports or reaches the names that read or write them.  Likewise the
 exact fallback of the pairing primitive is named only in ``weyl.py``, so no
-module forks the choice between the int64 and the Python-int pairing.
+module forks the choice between the int64 and the Python-int pairing.  In
+``cli.py`` only ``main`` resolves the shared inputs and builds the failure
+record, so no subcommand grows an input or exit path of its own.
 """
 
 import ast
@@ -93,3 +95,35 @@ def test_exact_pairings_stay_in_weyl(path):
         elif isinstance(node, ast.Name):
             named |= node.id == "exact_pairings"
     assert not named, f"{path.name} names exact_pairings; call weyl.pairings instead"
+
+
+#: Calls that resolve a subcommand's shared inputs; only ``cli.main`` makes them.
+RESOLVERS = {"root_system", "_parse_lambda"}
+
+
+def _resolves_or_fails(node: ast.AST) -> list[str]:
+    """The resolver calls and ``"kind": "failure"`` records under ``node``."""
+    found = []
+    for n in ast.walk(node):
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id in RESOLVERS:
+            found.append(n.func.id)
+        elif isinstance(n, ast.Dict) and any(
+            isinstance(k, ast.Constant) and k.value == "kind"
+            and isinstance(v, ast.Constant) and v.value == "failure"
+            for k, v in zip(n.keys, n.values)
+        ):
+            found.append("failure record")
+    return found
+
+
+def test_only_cli_main_resolves_inputs_and_builds_the_failure_record():
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    elsewhere, in_main = {}, []
+    for node in tree.body:
+        found = _resolves_or_fails(node)
+        if isinstance(node, ast.FunctionDef) and node.name == "main":
+            in_main = found
+        elif found:
+            elsewhere[getattr(node, "name", type(node).__name__)] = found
+    assert elsewhere == {}, f"only main may resolve inputs or fail: {elsewhere}"
+    assert sorted(in_main) == ["_parse_lambda", "failure record", "root_system"]

@@ -12,6 +12,7 @@ from rootcoh import (
     column_stats,
     root_system,
 )
+from rootcoh import rootsys
 from rootcoh.rootsys import Weight, build_root_system
 
 G2_TABLE = {
@@ -52,6 +53,29 @@ def test_invalid_ranks_rejected(family, rank):
     with pytest.raises(RootSystemError) as err:
         SimpleType(family, rank)
     assert "rank" in str(err.value)
+
+
+class _Generated(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "name, refused",
+    [("A202", False), ("A203", True), ("B161", False), ("B162", True), ("C161", False),
+     ("C162", True), ("D161", False), ("D162", True), (f"A{10**6}", True)],
+)
+def test_the_catalogue_bound_is_checked_before_generation(monkeypatch, name, refused):
+    # |Phi+| * rank against 2**22, before any root is generated: an admitted
+    # type reaches the generator, which raises here instead of building
+    def generate(cartan, n):
+        raise _Generated
+
+    monkeypatch.setattr(rootsys, "_generate_positive_roots", generate)
+    with pytest.raises(RootSystemError if refused else _Generated) as err:
+        build_root_system(SimpleType.parse(name))
+    if refused:
+        assert str(err.value).startswith(f"{name}: |Phi+| * rank = ")
+        assert str(err.value).endswith(" passes the catalogue bound 4194304")
 
 
 def test_parse_rejects_garbage():

@@ -23,8 +23,11 @@ limits either form to the named families.
 The families: the ops of ``perfbench/pool.json`` (read from this checkout,
 never written), ``check-t1`` on eleven types with ``p`` on both sides of
 ``N/2`` and lambdas at the int64 guards, ``e1``, ``phi``, ``roots``,
-``certify``, ``verify-all``, ``bwb``, and ``parse``, the integer-parsing
-edge cases.
+``certify``, ``verify-all``, ``bwb``, ``parse``, the integer-parsing
+edge cases, and ``cli``: ``coxeter``, ``thresholds`` and ``certify
+--explain`` on every type of rank <= 8, each subcommand with every shared
+input (type, ``-p``, ``--lambda``) missing or out of range in turn, a
+failing ``verify-all``, ``--version``, ``-h`` and no arguments.
 """
 
 from __future__ import annotations
@@ -148,6 +151,45 @@ PARSE = [
 ]
 
 
+#: Per subcommand, a valid argv tail after the type; ``_cli`` breaks each
+#: input in turn on A2.
+CLI_TAILS = {
+    "roots": [],
+    "coxeter": [],
+    "bwb": ["--lambda", "1,1"],
+    "phi": ["-p", "1"],
+    "e1": ["-p", "1", "--lambda", "1,1"],
+    "check-t1": ["-p", "1", "--lambda", "1,1"],
+    "thresholds": ["-p", "1"],
+    "certify": [],
+}
+#: Out-of-contract values: ``-p`` below 0 and past |Phi+(A2)| = 3, and
+#: lambdas of the wrong length.
+BAD = {"-p": ["-1", "4"], "--lambda": ["1,1,1", "1"]}
+
+
+def _cli(types) -> list[list[str]]:
+    out = [[*cmd, str(t), "--format", fmt]
+           for cmd in (["coxeter"], ["thresholds"], ["thresholds", "-p", "2"],
+                       ["certify", "--explain"])
+           for t in types for fmt in FORMATS]
+    for cmd, tail in CLI_TAILS.items():
+        flags = dict(zip(tail[::2], tail[1::2]))
+        argvs = [[cmd, name, *tail] for name in ("A2", "Q5", "D3")]
+        for flag in flags:
+            rest = [x for f, v in flags.items() if f != flag for x in (f, v)]
+            rest_bad = [x for f in flags if f != flag for x in (f, BAD[f][0])]
+            # missing, missing with a bad type or bad other inputs (the order
+            # of the checks shows), then out of range
+            argvs += [[cmd, "A2", *rest], [cmd, "Q5", *rest], [cmd, "A2", *rest_bad]]
+            argvs += [[cmd, "A2", *rest, flag, v] for v in BAD[flag]]
+        out += [[*argv, "--format", fmt] for argv in argvs for fmt in FORMATS]
+    out += [["verify-all", "--golden-dir", "no-such-golden-dir", "--format", fmt]
+            for fmt in FORMATS]
+    out += [["--version"], [], ["-h"], *([cmd, "-h"] for cmd in [*CLI_TAILS, "verify-all"])]
+    return [list(argv) for argv in dict.fromkeys(map(tuple, out))]
+
+
 def families(src: Path) -> dict:
     """Family name -> a function that lists its argv, for the tree ``src``."""
     sys.path.insert(0, str(src))
@@ -165,6 +207,7 @@ def families(src: Path) -> dict:
         "verify-all": lambda: [["verify-all", "--format", fmt] for fmt in FORMATS],
         "bwb": lambda: _bwb(types),
         "parse": lambda: PARSE,
+        "cli": lambda: _cli(types),
     }
 
 
@@ -173,7 +216,7 @@ def run(main, argv: list[str]) -> tuple[int, str, str]:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
     stdout, stderr = out.getvalue(), err.getvalue()
-    if argv[0] == "verify-all":
+    if argv[:1] == ["verify-all"]:
         stdout = re.sub(r"\d+\.\d+", "#", stdout)
     return code, stdout, stderr
 
