@@ -3,11 +3,13 @@
 The weights of ``Lambda^p n-`` with their multiplicities are the coefficients
 of ``t^p`` in ``prod_{gamma > 0} (1 + t e^{-gamma})`` (Kostant, Ann. of Math.
 74, 1961).  One engine expands that product root by root.  Layer ``j`` holds
-the sums of ``j`` distinct negative roots as sorted int64 keys (packed by
-:func:`encode_vectors`) with their multiplicities; adding the root ``-gamma``
-merges layer ``j`` with layer ``j - 1`` shifted by the packed key of
-``-gamma``.  The packed keys stay inside this module: callers read weights
-through the three readers below.
+the sums of ``j`` distinct negative roots as sorted int64 keys with their
+multiplicities; adding the root ``-gamma`` merges layer ``j`` with layer
+``j - 1`` shifted by the key of ``-gamma``.  A key holds one field per
+coordinate, sized to that coordinate's range over the layers built
+(:func:`_fields`); a job whose fields need more than 62 bits is refused
+with :class:`ExteriorError`.  The keys stay inside this module: callers
+read weights through the three readers below.
 
 The expansion runs only to depth ``d = min(p, N - p)``.  A subset and its
 complement sum to ``-2 rho``, whose fundamental-weight coordinates are all
@@ -73,36 +75,43 @@ class ExteriorError(ValueError):
 # encoding of integer vectors into sortable int64 keys
 
 
-def _encoder(rank: int) -> tuple[int, int]:
-    """Bits per coordinate and the bias that makes a coordinate non-negative."""
-    bits = min(62 // rank, 16)
-    if bits == 0:
-        raise ExteriorError(
-            f"rank {rank} leaves no bits per coordinate in an int64 key "
-            "(the rank must be below 63)"
-        )
-    return bits, 1 << (bits - 1)
+Fields = tuple[tuple[int, int, int], ...]
 
 
-def encode_vectors(arr: np.ndarray, rank: int) -> np.ndarray:
-    """Pack integer row vectors into int64 keys preserving lexicographic order."""
-    bits, bias = _encoder(rank)
-    if arr.size and (arr.min() <= -bias or arr.max() >= bias):
-        raise ExteriorError("vector entries exceed the packing range")
+def _fields(mat: np.ndarray, depth: int) -> Fields:
+    """Per column ``k``, the key field ``(low_k, shift_k, width_k)`` that
+    holds column ``k`` of every sum of at most ``depth`` rows of ``mat``.
+
+    Those sums lie in ``[low_k, high_k]``, the sums of the column's ``depth``
+    most negative and ``depth`` largest positive entries.  The field holds
+    ``v_k - low_k`` in ``width_k = (high_k - low_k).bit_length()`` bits from
+    bit ``shift_k`` up, the last column lowest, so key order is lexicographic
+    order.  Widths past 62 bits in all, which would take an int64 key's one
+    spare bit, raise :class:`ExteriorError`.
+    """
+    cols = np.sort(mat, axis=0)
+    high = np.clip(cols[::-1][:depth], 0, None).sum(axis=0).tolist()
+    low = np.clip(cols[:depth], None, 0).sum(axis=0).tolist()
+    widths = [(h - lo).bit_length() for h, lo in zip(high, low)]
+    if sum(widths) > 62:
+        raise ExteriorError(f"sums of {depth} rows need {sum(widths)} bits per key, "
+                            "past the 62 an int64 key holds")
+    return tuple(zip(low, [sum(widths[k + 1:]) for k in range(len(widths))], widths))
+
+
+def encode_vectors(arr: np.ndarray, fields: Fields) -> np.ndarray:
+    """Pack integer row vectors, each inside ``fields``' ranges, into int64
+    keys preserving lexicographic order."""
     keys = np.zeros(arr.shape[0], dtype=np.int64)
-    for k in range(rank):
-        keys = (keys << bits) + (arr[:, k].astype(np.int64) + bias)
+    for col, (low, shift, _) in zip(arr.T.astype(np.int64), fields):
+        keys += (col - low) << shift
     return keys
 
 
-def decode_vectors(keys: np.ndarray, rank: int) -> np.ndarray:
-    bits, bias = _encoder(rank)
-    out = np.empty((keys.shape[0], rank), dtype=np.int64)
-    rest = keys.astype(np.int64)
-    mask = (1 << bits) - 1
-    for k in range(rank - 1, -1, -1):
-        out[:, k] = (rest & mask) - bias
-        rest = rest >> bits
+def decode_vectors(keys: np.ndarray, fields: Fields) -> np.ndarray:
+    out = np.empty((keys.shape[0], len(fields)), dtype=np.int64)
+    for k, (low, shift, width) in enumerate(fields):
+        out[:, k] = ((keys >> shift) & ((1 << width) - 1)) + low
     return out
 
 
@@ -155,32 +164,24 @@ def subset_sums_reference(
     return out
 
 
-def _layers(mat: np.ndarray, depth: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Layers 0..depth of ``prod (1 + t e^row)`` over the rows of ``mat``.
+def _layers(mat: np.ndarray, depth: int) -> tuple[list, Fields]:
+    """Layers 0..depth of ``prod (1 + t e^row)`` over the rows of ``mat``,
+    and the :func:`_fields` they are packed in.
 
     Layer j is (sorted keys, multiplicities) of the sums of j distinct rows.
-    Keys are added to keys, so no sum passes through :func:`encode_vectors`;
-    instead every column is checked up front: the sum of its ``depth``
-    largest positive entries, and of its ``depth`` most negative ones, must
-    stay inside the field's bias, or a carry would corrupt the next field.
+    Keys are added to keys; each field holds its column's whole range of
+    sums, so no carry reaches the next field.
     A merge that would take the keys held past :data:`MAX_LIVE_KEYS` raises
     :class:`BudgetExceededError` before it allocates.
     """
     n, rank = mat.shape
-    _, bias = _encoder(rank)
-    cols = np.sort(mat, axis=0)
-    high = np.clip(cols[::-1][:depth], 0, None).sum(axis=0)
-    low = np.clip(cols[:depth], None, 0).sum(axis=0)
-    if (high >= bias).any() or (low <= -bias).any():
-        raise ExteriorError(
-            f"sums of {depth} rows exceed the packing range of {bias} per coordinate"
-        )
-    zero = encode_vectors(np.zeros((1, rank), dtype=np.int64), rank)
+    fields = _fields(mat, depth)
+    zero = encode_vectors(np.zeros((1, rank), dtype=np.int64), fields)
     empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
     layers = [(zero, np.ones(1, dtype=np.int64))] + [empty] * depth
     if depth == 0:
-        return layers
-    shifts = encode_vectors(mat, rank) - zero[0]
+        return layers, fields
+    shifts = encode_vectors(mat, fields) - zero[0]
     live = 1
     for k, shift in enumerate(shifts):
         for j in range(min(k + 1, depth), 0, -1):
@@ -193,26 +194,26 @@ def _layers(mat: np.ndarray, depth: int) -> list[tuple[np.ndarray, np.ndarray]]:
             held = layers[j][0].size
             layers[j] = _merge_key_counts([layers[j], (keys + shift, counts)])
             live += layers[j][0].size - held
-    return layers
+    return layers, fields
 
 
 # ---------------------------------------------------------------------------
 # public operations
 
-#: Deepest layer list built so far, per type, oldest entry first.
-_layer_cache: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
+#: Deepest layer list built so far and its fields, per type, oldest entry first.
+_layer_cache: dict[str, tuple[list, Fields]] = {}
 
 
-def _cache_layers(key: str, layers: list) -> None:
-    """Store ``layers`` as the newest entry, evicting the oldest entries
+def _cache_layers(key: str, entry: tuple[list, Fields]) -> None:
+    """Store ``entry`` as the newest entry, evicting the oldest entries
     until the keys cached over all entries fit in :data:`MAX_LIVE_KEYS`.
 
     The new entry itself is never evicted: its build already kept within
     the cap.
     """
     _layer_cache.pop(key, None)
-    _layer_cache[key] = layers
-    held = {k: sum(ks.size for ks, _ in v) for k, v in _layer_cache.items()}
+    _layer_cache[key] = entry
+    held = {k: sum(ks.size for ks, _ in v[0]) for k, v in _layer_cache.items()}
     total = sum(held.values())
     for k in list(_layer_cache)[:-1]:
         if total <= MAX_LIVE_KEYS:
@@ -221,21 +222,19 @@ def _cache_layers(key: str, layers: list) -> None:
         del _layer_cache[k]
 
 
-def sum_keys(rs: RootSystem, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Encoded (keys, multiplicities) of the direct layer ``d = min(p, N - p)``.
+def sum_keys(rs: RootSystem, p: int) -> tuple[np.ndarray, np.ndarray, Fields]:
+    """Encoded (keys, multiplicities, fields) of the layer ``d = min(p, N - p)``.
 
     Layer ``d`` holds the sums of ``d`` distinct negative roots; its keys
-    are sorted ascending, which is lexicographic order of the weights.  For
-    ``p > N / 2`` it is the complement of layer ``p``: as many keys, and the
-    multiplicities in reverse order.  :func:`sum_vectors` and
-    :func:`rows_below` read layer ``p`` off it.  The layer list of each
-    type is cached and rebuilt only when a deeper layer is asked for; the
-    oldest entries are evicted so that the cache holds at most
-    :data:`MAX_LIVE_KEYS` keys.  A job with
-    ``C(N, d) >= 2**63``, so that a multiplicity could wrap, is refused with
-    :class:`BudgetExceededError` before anything is allocated; so is a build
-    that would hold more than :data:`MAX_LIVE_KEYS` keys, before the merge
-    that would cross the cap.
+    are sorted ascending, which is lexicographic order of the weights, and
+    packed in the :func:`_fields` of the deepest layer built for the type.
+    For ``p > N / 2`` it is the complement of layer ``p``: as many keys, and
+    the multiplicities in reverse order.  :func:`sum_vectors` and
+    :func:`rows_below` read layer ``p`` off it.  Layer lists are cached as
+    the module docstring says.  A job with ``C(N, d) >= 2**63``, so that a
+    multiplicity could wrap, is refused with :class:`BudgetExceededError`
+    before anything is allocated; so is a build that would hold more than
+    :data:`MAX_LIVE_KEYS` keys, before the merge that would cross the cap.
     A cached layer list is served without a second check.
     """
     n = rs.num_positive_roots
@@ -247,12 +246,13 @@ def sum_keys(rs: RootSystem, p: int) -> tuple[np.ndarray, np.ndarray]:
             f"multiplicities up to C({n},{depth}) would overflow int64"
         )
     key = str(rs.simple_type)
-    layers = _layer_cache.get(key)
-    if layers is None or len(layers) <= depth:
+    entry = _layer_cache.get(key)
+    if entry is None or len(entry[0]) <= depth:
         mat = np.array([r.weight.coords for r in rs.positive_roots], dtype=np.int64)
-        layers = _layers(-mat, depth)
-        _cache_layers(key, layers)
-    return layers[depth]
+        entry = _layers(-mat, depth)
+        _cache_layers(key, entry)
+    layers, fields = entry
+    return (*layers[depth], fields)
 
 
 def sum_vectors(rs: RootSystem, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -265,8 +265,8 @@ def sum_vectors(rs: RootSystem, p: int) -> tuple[np.ndarray, np.ndarray]:
     A complement is never packed again, so it is not held to the packing
     range.
     """
-    keys, counts = sum_keys(rs, p)
-    rows = decode_vectors(keys, rs.rank)
+    keys, counts, fields = sum_keys(rs, p)
+    rows = decode_vectors(keys, fields)
     if 2 * p <= rs.num_positive_roots:
         return rows, counts
     return -2 - rows[::-1], counts[::-1].copy()
@@ -280,34 +280,31 @@ def rows_below(
     Returns their indices in :func:`sum_vectors` order, their int64 rows and
     the number of rows of the whole support.  Each coordinate is tested on
     its packed field of the cached layer, so only the rows found are
-    decoded.  A field reads ``mu_k = field - bias`` on the direct layer and
-    ``mu_k = -2 - (field - bias)`` on the complement (``p > N / 2``), whose
-    keys come in reverse order.  The thresholds are clamped to the field's
-    range in Python ints, so ``floor`` may hold any integers.
+    decoded.  Field ``k`` reads ``mu_k = field + low_k`` on the direct layer
+    and ``mu_k = -2 - (field + low_k)`` on the complement (``p > N / 2``),
+    whose keys come in reverse order.  The thresholds are clamped to the
+    field's range in Python ints, so ``floor`` may hold any integers.
     """
-    rank = rs.rank
-    if len(floor) != rank:
-        raise ExteriorError(f"floor has {len(floor)} coordinates, expected {rank}")
-    keys, _ = sum_keys(rs, p)
-    bits, bias = _encoder(rank)
-    mask = (1 << bits) - 1
+    if len(floor) != rs.rank:
+        raise ExteriorError(f"floor has {len(floor)} coordinates, expected {rs.rank}")
+    keys, _, fields = sum_keys(rs, p)
     complement = 2 * p > rs.num_positive_roots
     below = np.zeros(keys.size, dtype=bool)
-    for k, f in enumerate(floor):
+    for (low, shift, width), f in zip(fields, floor):
         # field k is compared in place, against an edge shifted to its bits
-        shift = bits * (rank - 1 - k)
+        mask = (1 << width) - 1
         if complement:
-            # -2 - (field - bias) < f  <=>  field > bias - 2 - f
-            edge = bias - 2 - f
+            # -2 - (field + low) < f  <=>  field > -2 - low - f
+            edge = -2 - low - f
             if edge < mask:
                 below |= (keys & (mask << shift)) > (max(edge, -1) << shift)
         else:
-            # field - bias < f  <=>  field < bias + f
-            edge = bias + f
+            # field + low < f  <=>  field < f - low
+            edge = f - low
             if edge > 0:
                 below |= (keys & (mask << shift)) < (min(edge, mask + 1) << shift)
     idx = np.flatnonzero(below)
-    rows = decode_vectors(keys[idx], rank)
+    rows = decode_vectors(keys[idx], fields)
     if complement:
         return (keys.size - 1 - idx)[::-1], -2 - rows[::-1], keys.size
     return idx, rows, keys.size

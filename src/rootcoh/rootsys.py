@@ -90,7 +90,7 @@ class SimpleType:
 
     @classmethod
     def parse(cls, text: str) -> "SimpleType":
-        m = re.fullmatch(r"\s*([A-Ga-g])\s*(\d+)\s*", text)
+        m = re.fullmatch(r"\s*([A-Ga-g])\s*([0-9]+)\s*", text)
         if not m:
             raise RootSystemError(f"cannot parse simple type from {text!r}")
         return cls(m.group(1).upper(), int(m.group(2)))

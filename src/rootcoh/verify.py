@@ -94,17 +94,17 @@ def default_golden_dir() -> Path:
 
 
 def load_golden_table(path: Path) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The rows of ``path``; a ValueError names a missing file or its first bad line."""
+    if not path.is_file():
+        raise ValueError(f"{path.name} not found")
     rows = set()
-    for line in path.read_text().splitlines():
-        if not line.strip():
-            continue
-        left, right = line.split("->")
-        rows.add(
-            (
-                tuple(int(x) for x in left.split()),
-                tuple(int(x) for x in right.split()),
-            )
-        )
+    for i, line in enumerate(path.read_text().splitlines(), 1):
+        try:
+            if line.strip():
+                left, right = line.split("->")
+                rows.add((tuple(map(int, left.split())), tuple(map(int, right.split()))))
+        except ValueError:
+            raise ValueError(f"{path.name} line {i} malformed") from None
     return rows
 
 
@@ -118,7 +118,10 @@ def check_appendix_tables(golden_dir: Path | None = None) -> CriterionResult:
     for name in GOLDEN_TABLES:
         rs = root_system(name)
         generated = {(r.root_coords, r.weight.coords) for r in rs.positive_roots}
-        golden = load_golden_table(gdir / f"{name}.txt")
+        try:
+            golden = load_golden_table(gdir / f"{name}.txt")
+        except ValueError as exc:
+            return _result(1, "appendix-tables", False, str(exc), t0, 1.0)
         if generated != golden:
             bad.append(name)
     detail = f"{len(GOLDEN_TABLES)} tables compared bit-exact"

@@ -91,6 +91,13 @@ def test_criterion1_reports_a_missing_or_changed_golden_table(tmp_path):
     table.write_text(text.replace("2 3 -> 1 0\n", "2 3 -> 1 1\n"))
     res = check_appendix_tables(golden)
     assert not res.ok and res.detail == "mismatch in ['G2']"
+    # a line without "->", then no G2.txt at all: a failed criterion, not a raise
+    table.write_text("2 3 1 0\n" + text)
+    res = check_appendix_tables(golden)
+    assert not res.ok and res.detail == "G2.txt line 1 malformed"
+    table.unlink()
+    res = check_appendix_tables(golden)
+    assert not res.ok and res.detail == "G2.txt not found"
 
 
 def test_sweeps_build_each_type_once_and_ignore_cache_state(monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from rootcoh import cli, exterior, root_system
 from rootcoh.cli import build_parser, main
 from rootcoh.nonvanishing import build_certificate
-from rootcoh.exterior import sum_vectors
+from rootcoh.exterior import subset_sums_reference, sum_vectors
 from rootcoh.weyl import pairing
 
 
@@ -201,8 +201,8 @@ def test_budget_refusal_exit_code(capsys, monkeypatch):
 
 
 def test_check_t1_past_half_the_roots_is_not_held_to_the_packing_range(capsys):
-    # A20 packs 3-bit fields; degree 208 is read off degree 2, and its
-    # weights (entries down to -4) are never packed
+    # degree 208 of A20 is read off degree 2, and its weights (entries down
+    # to -4) are never packed
     lam = ",".join(["30"] * 20)
     code, out, _ = run(capsys, "check-t1", "A20", "-p", "208", "--lambda", lam,
                        "--format", "json")
@@ -316,6 +316,8 @@ def test_verify_all_json(capsys):
         ("check-t1", "A2", "-p", "\u0661", "--lambda", "1,1"),
         ("phi", "A2", "-p", "1_0"),
         ("roots", "A203"),
+        ("coxeter", "A\u0663"),
+        ("roots", "B\uff13"),
     ],
 )
 def test_out_of_contract_input_is_one_line_usage_error(capsys, argv):
@@ -367,6 +369,35 @@ def _counts_by_python_ints(rs, p, lam):
             counts["violation"] += 1
             first = first or mu
     return counts, first
+
+
+@pytest.mark.parametrize(
+    "name, p, coord, counts",
+    [("A30", 1, 1, {"dominant": 435, "singular": 30, "violation": 0}),
+     ("A16", 3, 2, {"dominant": 124405, "singular": 20545, "violation": 1680})],
+)
+def test_check_t1_packs_each_field_to_its_column(capsys, name, p, coord, counts):
+    # one key field per column, sized to its range: A30 at p = 1 needs 60
+    # bits and A16 at p = 3 needs 48; 62 // rank bits per field refused both
+    rs = root_system(name)
+    lam = (coord,) * rs.rank
+    code, out, err = run(capsys, "check-t1", name, "-p", str(p), "--lambda",
+                         ",".join(map(str, lam)), "--format", "json")
+    assert (code, err) == (0 if p == 1 else 1, "")
+    rows = [[-c for c in r.weight.coords] for r in rs.positive_roots]
+    support = sorted(subset_sums_reference(rows, p))
+    assert [tuple(mu) for mu in sum_vectors(rs, p)[0].tolist()] == support
+    doc = json.loads(out)
+    assert (doc["counts"], doc["first_violation"]) == _counts_by_python_ints(rs, p, lam)
+    assert doc["counts"] == counts
+
+
+def test_check_t1_refuses_keys_past_62_bits(capsys):
+    code, out, err = run(capsys, "check-t1", "A40", "-p", "1", "--lambda",
+                         ",".join(["1"] * 40))
+    assert (code, out) == (2, "")
+    assert err == ("usage error: sums of 1 rows need 80 bits per key, "
+                   "past the 62 an int64 key holds\n")
 
 
 def test_check_t1_answers_past_the_pairing_guard(capsys):

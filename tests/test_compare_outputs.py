@@ -29,7 +29,7 @@ def test_two_trees_list_the_argv_that_differ(tmp_path):
     assert (out.returncode, out.stderr) == (1, "")
     head, *listed = out.stdout.splitlines()
     name, runs_a, hash_a, runs_b, hash_b, *tail = head.split()
-    assert (name, runs_a, runs_b, tail) == ("parse", "10", "10", ["3", "differ"])
+    assert (name, runs_a, runs_b, tail) == ("parse", "11", "11", ["3", "differ"])
     assert hash_a != hash_b
     assert listed == [
         "  stderr: check-t1 A2 -p 1 --lambda 1_0,2",

@@ -15,6 +15,7 @@ from rootcoh import (
 )
 from rootcoh.exterior import (
     ExteriorError,
+    _fields,
     _layers,
     decode_vectors,
     encode_vectors,
@@ -140,17 +141,21 @@ def test_engines_agree_on_all_degrees():
         rows = [tuple(-c for c in r.weight.coords) for r in rs.positive_roots]
         for p in range(rs.num_positive_roots + 1):
             ref = sorted(subset_sums_reference(rows, p).items())
-            want_keys = encode_vectors(np.array([w for w, _ in ref]), rs.rank)
+            want = np.array([w for w, _ in ref], dtype=np.int64)
             want_counts = np.array([m for _, m in ref], dtype=np.int64)
             vecs, counts = sum_vectors(rs, p)
             assert vecs.dtype == counts.dtype == np.int64
-            np.testing.assert_array_equal(encode_vectors(vecs, rs.rank), want_keys)
+            np.testing.assert_array_equal(vecs, want)
             np.testing.assert_array_equal(counts, want_counts)
+            # the direct layer's keys are the oracle's weights, packed
+            keys, _, fields = sum_keys(rs, p)
+            if 2 * p <= rs.num_positive_roots:
+                np.testing.assert_array_equal(keys, encode_vectors(want, fields))
 
 
 def test_complement_is_not_held_to_the_packing_range():
-    # rank 20 packs 3-bit fields (entries -3..3); layer 2 fits, but its
-    # complement, layer 208, has entries -4 and so cannot be packed
+    # layer 208 of A20 is read off layer 2, -2 - layer 2, and is never
+    # packed itself; its entries reach -4
     a20 = root_system("A20")
     low, low_counts = sum_vectors(a20, 2)
     high, high_counts = sum_vectors(a20, 208)
@@ -161,17 +166,32 @@ def test_complement_is_not_held_to_the_packing_range():
 
 
 def test_layers_refuse_sums_past_the_packing_range():
-    # rank 2 packs 16-bit fields with bias 2**15: one row fits, two overflow
+    # two rows (20000, -1): column 0 sums lie in [0, 40000] (16 bits), column
+    # 1 in [-2, 0] (2 bits); either sign packs, and decodes exactly
     mat = np.array([[20000, -1], [20000, -1]], dtype=np.int64)
-    keys, _ = _layers(mat, 1)[1]
-    np.testing.assert_array_equal(decode_vectors(keys, 2), [[20000, -1]])
-    with pytest.raises(ExteriorError):
-        _layers(mat, 2)
-    with pytest.raises(ExteriorError):
-        _layers(-mat, 2)
-    # rank 63 leaves no bits per field at all
-    with pytest.raises(ExteriorError, match="rank 63"):
-        _layers(np.zeros((1, 63), dtype=np.int64), 1)
+    for m in (mat, -mat):
+        layers, fields = _layers(m, 2)
+        assert [width for _, _, width in fields] == [16, 2]
+        keys, counts = layers[2]
+        np.testing.assert_array_equal(decode_vectors(keys, fields), [2 * m[0]])
+        assert counts.tolist() == [1]
+    # (2**40, -2**20): one row takes 41 + 21 = 62 bits, two rows 42 + 22
+    big = np.array([[2**40, -(2**20)]] * 2, dtype=np.int64)
+    layers, fields = _layers(big, 1)
+    np.testing.assert_array_equal(decode_vectors(layers[1][0], fields), big[:1])
+    with pytest.raises(ExteriorError, match="^sums of 2 rows need 64 bits per key"):
+        _layers(big, 2)
+    # A40's negated roots: 40 columns in [-2, 1] take 2 bits each
+    a40 = root_system("A40")
+    rows = -np.array([r.weight.coords for r in a40.positive_roots], dtype=np.int64)
+    with pytest.raises(ExteriorError) as info:
+        _layers(rows, 1)
+    assert str(info.value) == (
+        "sums of 1 rows need 80 bits per key, past the 62 an int64 key holds"
+    )
+    # a zero column takes no bits, whatever the rank
+    layers, fields = _layers(np.zeros((1, 63), dtype=np.int64), 1)
+    np.testing.assert_array_equal(decode_vectors(layers[1][0], fields), [[0] * 63])
 
 
 def test_multiplicity_overflow_refused_before_allocation():
@@ -181,21 +201,32 @@ def test_multiplicity_overflow_refused_before_allocation():
         sum_keys(e8, 60)
 
 
+#: Columns of 31, 31 and 0 bits: a key of exactly 62 bits.
+EXACT_62 = [[-(2**30), 2**31 - 1, 0], [2**30 - 1, 0, 0]]
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_encode_decode_round_trip(data):
+    # the fields come from the drawn rows' own column ranges, 0 included; a
+    # column of zeros takes a width-0 field
     rank = data.draw(st.integers(1, 8))
-    rows = data.draw(
-        st.lists(
-            st.tuples(*[st.integers(-60, 60) for _ in range(rank)]),
-            min_size=1,
-            max_size=20,
-        )
-    )
+    spans = data.draw(st.lists(st.sampled_from([0, 1, 60, 2**20]),
+                               min_size=rank, max_size=rank))
+    drawn = st.lists(st.tuples(*[st.integers(-s, s) for s in spans]),
+                     min_size=1, max_size=20)
+    rows = data.draw(drawn | st.just(EXACT_62))
     arr = np.array(rows, dtype=np.int64)
-    keys = encode_vectors(arr, rank)
-    back = decode_vectors(keys, rank)
-    np.testing.assert_array_equal(arr, back)
+    widths = [(max(0, max(col)) - min(0, min(col))).bit_length() for col in zip(*rows)]
+    if sum(widths) > 62:
+        with pytest.raises(ExteriorError):
+            _fields(arr, 1)
+        return
+    fields = _fields(arr, 1)
+    assert [width for _, _, width in fields] == widths
+    keys = encode_vectors(arr, fields)
+    assert 0 <= keys.min() and keys.max() < 2 ** sum(widths)
+    np.testing.assert_array_equal(decode_vectors(keys, fields), arr)
     # encoded order is lexicographic order
     order = np.argsort(keys, kind="stable")
     assert [tuple(arr[i]) for i in order] == sorted(map(tuple, rows))
@@ -265,13 +296,13 @@ def test_layer_cache_evicts_oldest_entries_past_the_cap(monkeypatch):
     monkeypatch.setattr(exterior, "MAX_LIVE_KEYS", 40)
 
     def cached():
-        return {k: sum(ks.size for ks, _ in v) for k, v in exterior._layer_cache.items()}
+        return {k: sum(ks.size for ks, _ in v[0]) for k, v in exterior._layer_cache.items()}
 
     a2, b2, g2 = root_system("A2"), root_system("B2"), root_system("G2")
     sum_keys(a2, 1)
     sum_keys(b2, 2)
     assert cached() == {"A2": 4, "B2": 11}
-    keys, counts = sum_keys(g2, 3)  # 35 keys: both older entries go
+    keys, counts, fields = sum_keys(g2, 3)  # 35 keys: both older entries go
     assert cached() == {"G2": 35}
     sum_keys(a2, 1)
     assert cached() == {"G2": 35, "A2": 4}
@@ -281,20 +312,21 @@ def test_layer_cache_evicts_oldest_entries_past_the_cap(monkeypatch):
     assert cached() == {"A2": 4, "B2": 11}
     again = sum_keys(g2, 3)  # rebuilt after eviction, bit for bit
     assert np.array_equal(again[0], keys) and np.array_equal(again[1], counts)
+    assert again[2] == fields
     assert list(cached()) == ["G2"]
 
 
 def test_largest_job_of_the_old_subset_budget_runs(monkeypatch):
     # A8 at p = 9 held the most keys among all jobs with C(N, p) <= 10**8
     monkeypatch.setattr(exterior, "_layer_cache", {})
-    keys, counts = sum_keys(root_system("A8"), 9)
+    keys, counts, _ = sum_keys(root_system("A8"), 9)
     assert int(counts.sum()) == math.comb(36, 9)
 
 
 def test_jobs_past_the_old_subset_budget_run(monkeypatch):
     # C(36, 10) ~ 2.5e8 subsets, but the expansion holds about 562k keys
     monkeypatch.setattr(exterior, "_layer_cache", {})
-    keys, counts = sum_keys(root_system("E6"), 10)
+    keys, counts, _ = sum_keys(root_system("E6"), 10)
     assert int(counts.sum()) == math.comb(36, 10)
 
 

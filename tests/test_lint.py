@@ -64,7 +64,7 @@ def test_every_public_name_resolves():
 
 
 #: Names that carry the packed-key format; only ``exterior.py`` may use them.
-PACKED = {"sum_keys", "encode_vectors", "decode_vectors", "_encoder", "_layers"}
+PACKED = {"sum_keys", "encode_vectors", "decode_vectors", "_fields", "_layers"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])

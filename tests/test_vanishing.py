@@ -14,7 +14,7 @@ from rootcoh import (
     root_system,
     vanishing,
 )
-from rootcoh.exterior import rows_below, subset_sums_reference, sum_vectors
+from rootcoh.exterior import rows_below, subset_sums_reference, sum_keys, sum_vectors
 from rootcoh.rootsys import Weight, all_simple_types
 from rootcoh.vanishing import VanishingError
 from rootcoh.verify import BRUTE_TYPES
@@ -125,9 +125,15 @@ REFERENCE_CASES = [
     if math.comb(root_system(t).num_positive_roots, p) <= math.comb(24, 6)
 ]
 
-#: Lambda coordinates at the packed fields' edges: a rank <= 3 key has 16-bit
-#: fields biased by 2**15, a rank-4 key 15-bit fields biased by 2**14.
-EDGES = (2**14 - 1, 2**14, 2**14 + 1, 2**15 - 1, 2**15, 2**15 + 1, 2**62)
+def _field_edges(rs, p):
+    """Floors one either side of each packed field's ends, per column: the
+    field of column k holds ``low_k .. top_k = low_k + 2**width_k - 1`` on
+    the direct layer, and ``-2 - top_k .. -2 - low_k`` on the complement."""
+    edges = []
+    for low, _, width in sum_keys(rs, p)[2]:
+        ends = [low + d for d in (-1, 0, 1)] + [low + 2**width - 1 + d for d in (0, 1, 2)]
+        edges.append(ends + [-2 - e for e in ends])
+    return edges
 
 
 @functools.cache
@@ -145,19 +151,21 @@ def test_check_theorem1_matches_the_plain_enumeration(data):
     rs = root_system(name)
     coords = data.draw(st.lists(st.integers(0, 5), min_size=rs.rank, max_size=rs.rank))
     if data.draw(st.booleans()):
-        # the packed fields' edges, and where lam + mu + rho crosses the
-        # pairing matrix's int64 guard, past which blocks pair in Python ints
-        # (A1's guard, 2**63 - 1, is past the lambda + rho + mu guard)
+        # 2**62, and where lam + mu + rho crosses the pairing matrix's int64
+        # guard, past which blocks pair in Python ints (A1's guard,
+        # 2**63 - 1, is past the lambda + rho + mu guard)
         guard = 2**63 // rs.max_coroot_height
-        edges = EDGES + ((guard - 2, guard - 1, guard) if rs.max_coroot_height > 1 else ())
+        edges = (2**62,) + ((guard - 2, guard - 1, guard) if rs.max_coroot_height > 1 else ())
         k = data.draw(st.integers(0, rs.rank - 1))
         coords[k] = data.draw(st.sampled_from(edges))
     support = _reference_support(name, p)
     vecs, _ = sum_vectors(rs, p)
     assert [tuple(row) for row in vecs.tolist()] == support
-    # rows_below takes any floor: -lam, and one past either end of a field
-    any_floor = st.integers(-8, 8) | st.sampled_from(EDGES + tuple(-e for e in EDGES))
-    free = data.draw(st.lists(any_floor, min_size=rs.rank, max_size=rs.rank))
+    # rows_below takes any floor: -lam, small ones, and one either side of
+    # each end of a column's packed field, on both the direct and the
+    # complement reading
+    free = [data.draw(st.integers(-8, 8) | st.sampled_from(ends + [2**62, -(2**62)]))
+            for ends in _field_edges(rs, p)]
     for floor in (free, [-c for c in coords]):
         below = [i for i, mu in enumerate(support) if any(map(int.__lt__, mu, floor))]
         idx, rows, size = rows_below(rs, p, floor)

@@ -24,10 +24,12 @@ The families: the ops of ``perfbench/pool.json`` (read from this checkout,
 never written), ``check-t1`` on eleven types with ``p`` on both sides of
 ``N/2`` and lambdas at the int64 guards, ``e1``, ``phi``, ``roots``,
 ``certify``, ``verify-all``, ``bwb``, ``parse``, the integer-parsing
-edge cases, and ``cli``: ``coxeter``, ``thresholds`` and ``certify
+edge cases, ``cli``: ``coxeter``, ``thresholds`` and ``certify
 --explain`` on every type of rank <= 8, each subcommand with every shared
 input (type, ``-p``, ``--lambda``) missing or out of range in turn, a
-failing ``verify-all``, ``--version``, ``-h`` and no arguments.
+failing ``verify-all``, ``--version``, ``-h`` and no arguments; and
+``packing``: ``check-t1`` and ``e1`` on twelve types of rank 11 to 40 at
+the deepest layers one int64 key holds, and one past them.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import random
 import re
 import shlex
@@ -148,7 +151,31 @@ PARSE = [
     ["e1", "A2", "-p", "1", "--lambda", "1,２"],
     ["phi", "A2", "-p", "²"],
     ["thresholds", "A2", "-p", "1 1"],
+    ["coxeter", "A٣"],
 ]
+
+#: Per type, the deepest layer that one int64 key held with ``62 // rank``
+#: bits per coordinate, and the deepest it holds with each field sized to
+#: its column's range.
+PACKED_DEPTHS = {
+    "A13": (6, 7), "A16": (2, 3), "A20": (2, 3), "A30": (0, 1), "A40": (0, 0),
+    "B11": (7, 15), "B16": (1, 3), "C11": (13, 14), "C16": (1, 2),
+    "D12": (14, 15), "D16": (2, 3), "D30": (0, 1),
+}
+
+
+def _packing(root_system) -> list[list[str]]:
+    """``check-t1`` at lambda = rho, at each type's old and new deepest packed
+    depth and one past each; ``e1`` too where ``C(N, p) <= 10**6``, since an
+    ``e1`` page takes ``bwb`` of every weight and a bigger one takes seconds."""
+    out = []
+    for name, depths in PACKED_DEPTHS.items():
+        rs = root_system(name)
+        for p in sorted({d + step for d in depths for step in (0, 1)}):
+            small = math.comb(rs.num_positive_roots, p) <= 10**6
+            out += [[cmd, name, "-p", str(p), "--lambda", _csv(rs.rho), "--format", fmt]
+                    for cmd in ("check-t1", "e1")[:2 if small else 1] for fmt in FORMATS]
+    return out
 
 
 #: Per subcommand, a valid argv tail after the type; ``_cli`` breaks each
@@ -208,6 +235,7 @@ def families(src: Path) -> dict:
         "bwb": lambda: _bwb(types),
         "parse": lambda: PARSE,
         "cli": lambda: _cli(types),
+        "packing": lambda: _packing(root_system),
     }
 
 
