@@ -7,6 +7,10 @@ document, whose ``verdict``, ``valid`` or ``ok`` field shows the failure),
 2 usage error: input outside the contract (one ``usage error:`` line on
 standard error) or a job refused because it would pass the exterior
 engine's working-set cap or int64 multiplicities (one ``refused:`` line).
+
+The ``rootcoh`` script, :func:`entry`, restores the default ``SIGPIPE``
+action where there is one, so a reader that closes the pipe early, such as
+``head``, ends it quietly like other filters; :func:`main` leaves it alone.
 """
 
 from __future__ import annotations
@@ -399,6 +403,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
+    import signal  # here, so importing the module does no more work
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

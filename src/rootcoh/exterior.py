@@ -9,26 +9,28 @@ multiplicities; adding the root ``-gamma`` merges layer ``j`` with layer
 coordinate, sized to that coordinate's range over the layers built
 (:func:`_fields`); a job whose fields need more than 62 bits is refused
 with :class:`ExteriorError`.  The keys stay inside this module: callers
-read weights through the three readers below.
+read weights through the readers below.
 
 The expansion runs only to depth ``d = min(p, N - p)``.  A subset and its
 complement sum to ``-2 rho``, whose fundamental-weight coordinates are all
-``-2``, so
+``-2`` (:func:`build_root_system <rootcoh.rootsys.build_root_system>`
+checks the sum), so
 
     layer N - p = -2 - layer p,
 
-and the readers take the high degrees off the low ones.  The readers:
+and :func:`sum_keys` hands out layer ``p`` itself for every ``p``: for
+``p > N / 2`` it reflects the keys and fields of layer ``N - p``.  No reader
+knows about the complement.  The readers:
 
-- :func:`sum_vectors` returns ``(rows, multiplicities)``, int64 arrays in
-  lexicographic order of the weights.  :func:`phi_sums` returns the same
-  pair for sums of negative roots, and for sums of positive roots their
-  negatives in reverse order.
-- :func:`lambda_p_weights` returns the rows of :func:`sum_vectors`
-  translated by lam as a list of Python-int tuples, and the multiplicities
-  as a list of Python ints, so that a translation by any lam is exact.
+- :func:`phi_sums` returns ``(rows, multiplicities)``, int64 arrays in
+  lexicographic order of the weights, for sums of negative roots, and for
+  sums of positive roots their negatives in reverse order.
+- :func:`lambda_p_weights` returns the rows of :func:`phi_sums` translated
+  by lam as a list of Python-int tuples, and the multiplicities as a list
+  of Python ints, so that a translation by any lam is exact.
 - :func:`rows_below` returns ``(indices, rows, size)``: only the rows with
   some coordinate below a floor, found on the packed fields, with their
-  indices in :func:`sum_vectors` order and the size of the whole support.
+  indices in :func:`phi_sums` order and the size of the whole support.
   No other row is decoded.
 
 Each type keeps the deepest layer list built so far in one in-memory cache;
@@ -223,17 +225,19 @@ def _cache_layers(key: str, entry: tuple[list, Fields]) -> None:
 
 
 def sum_keys(rs: RootSystem, p: int) -> tuple[np.ndarray, np.ndarray, Fields]:
-    """Encoded (keys, multiplicities, fields) of the layer ``d = min(p, N - p)``.
+    """Encoded (keys, multiplicities, fields) of layer ``p``, the sums of
+    ``p`` distinct negative roots, the keys ascending in lexicographic order.
 
-    Layer ``d`` holds the sums of ``d`` distinct negative roots; its keys
-    are sorted ascending, which is lexicographic order of the weights, and
-    packed in the :func:`_fields` of the deepest layer built for the type.
-    For ``p > N / 2`` it is the complement of layer ``p``: as many keys, and
-    the multiplicities in reverse order.  :func:`sum_vectors` and
-    :func:`rows_below` read layer ``p`` off it.  Layer lists are cached as
-    the module docstring says.  A job with ``C(N, d) >= 2**63``, so that a
-    multiplicity could wrap, is refused with :class:`BudgetExceededError`
-    before anything is allocated; so is a build that would hold more than
+    Only the layers up to ``d = min(p, N - p)`` are built, packed in the
+    :func:`_fields` of the deepest layer built for the type.  For
+    ``p > N / 2`` layer ``d`` is reflected, ``v_k -> -2 - v_k``: field ``k``
+    of mask ``m_k`` holds ``m_k - (v_k - low_k)`` over a low of
+    ``-2 - low_k - m_k``, so the keys are ``top - keys[::-1]``, with every
+    field of ``top`` at its mask, the multiplicities come reversed, and the
+    widths do not change.  Layer lists are cached as the module docstring
+    says.  A job with ``C(N, d) >= 2**63``, so that a multiplicity could
+    wrap, is refused with :class:`BudgetExceededError` before anything is
+    allocated; so is a build that would hold more than
     :data:`MAX_LIVE_KEYS` keys, before the merge that would cross the cap.
     A cached layer list is served without a second check.
     """
@@ -252,62 +256,40 @@ def sum_keys(rs: RootSystem, p: int) -> tuple[np.ndarray, np.ndarray, Fields]:
         entry = _layers(-mat, depth)
         _cache_layers(key, entry)
     layers, fields = entry
-    return (*layers[depth], fields)
-
-
-def sum_vectors(rs: RootSystem, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(weights, multiplicities) of all sums of p distinct negative roots.
-
-    Rows are int64 weight vectors sorted lexicographically.  For
-    ``p > N / 2`` they are ``-2 - (layer N - p)`` in reverse order, which
-    keeps them sorted: the negative roots sum to ``-2 rho``, which
-    :func:`build_root_system <rootcoh.rootsys.build_root_system>` checks.
-    A complement is never packed again, so it is not held to the packing
-    range.
-    """
-    keys, counts, fields = sum_keys(rs, p)
-    rows = decode_vectors(keys, fields)
-    if 2 * p <= rs.num_positive_roots:
-        return rows, counts
-    return -2 - rows[::-1], counts[::-1].copy()
+    keys, counts = layers[depth]
+    if depth == p:
+        return keys, counts, fields
+    masks = [(1 << width) - 1 for _, _, width in fields]
+    top = sum(m << shift for m, (_, shift, _) in zip(masks, fields))
+    reflected = tuple((-2 - low - m, shift, width)
+                      for m, (low, shift, width) in zip(masks, fields))
+    return top - keys[::-1], counts[::-1], reflected
 
 
 def rows_below(
     rs: RootSystem, p: int, floor: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """The rows mu of :func:`sum_vectors` with some ``mu_k < floor_k``.
+    """The rows mu of :func:`phi_sums` with some ``mu_k < floor_k``.
 
-    Returns their indices in :func:`sum_vectors` order, their int64 rows and
+    Returns their indices in :func:`phi_sums` order, their int64 rows and
     the number of rows of the whole support.  Each coordinate is tested on
-    its packed field of the cached layer, so only the rows found are
-    decoded.  Field ``k`` reads ``mu_k = field + low_k`` on the direct layer
-    and ``mu_k = -2 - (field + low_k)`` on the complement (``p > N / 2``),
-    whose keys come in reverse order.  The thresholds are clamped to the
-    field's range in Python ints, so ``floor`` may hold any integers.
+    its packed field of :func:`sum_keys`, ``mu_k = field + low_k``, so only
+    the rows found are decoded.  The thresholds are clamped to the field's
+    range in Python ints, so ``floor`` may hold any integers.
     """
     if len(floor) != rs.rank:
         raise ExteriorError(f"floor has {len(floor)} coordinates, expected {rs.rank}")
     keys, _, fields = sum_keys(rs, p)
-    complement = 2 * p > rs.num_positive_roots
     below = np.zeros(keys.size, dtype=bool)
     for (low, shift, width), f in zip(fields, floor):
-        # field k is compared in place, against an edge shifted to its bits
+        # field + low < f  <=>  field < f - low, compared in place against
+        # an edge shifted to the field's bits
         mask = (1 << width) - 1
-        if complement:
-            # -2 - (field + low) < f  <=>  field > -2 - low - f
-            edge = -2 - low - f
-            if edge < mask:
-                below |= (keys & (mask << shift)) > (max(edge, -1) << shift)
-        else:
-            # field + low < f  <=>  field < f - low
-            edge = f - low
-            if edge > 0:
-                below |= (keys & (mask << shift)) < (min(edge, mask + 1) << shift)
+        edge = f - low
+        if edge > 0:
+            below |= (keys & (mask << shift)) < (min(edge, mask + 1) << shift)
     idx = np.flatnonzero(below)
-    rows = decode_vectors(keys[idx], fields)
-    if complement:
-        return (keys.size - 1 - idx)[::-1], -2 - rows[::-1], keys.size
-    return idx, rows, keys.size
+    return idx, decode_vectors(keys[idx], fields), keys.size
 
 
 def phi_sums(
@@ -316,12 +298,13 @@ def phi_sums(
     """(weights, multiplicities) of all sums of p distinct negative (``"-"``)
     or positive (``"+"``) roots, as int64 arrays in lexicographic order.
 
-    The negative sums are :func:`sum_vectors`; the positive sums are their
-    negatives, read in reverse order.
+    The negative sums are :func:`sum_keys` decoded; the positive sums are
+    their negatives, read in reverse order.
     """
     if sign not in ("+", "-"):
         raise ExteriorError(f"sign must be '+' or '-', got {sign!r}")
-    vecs, counts = sum_vectors(rs, p)
+    keys, counts, fields = sum_keys(rs, p)
+    vecs = decode_vectors(keys, fields)
     if sign == "+":
         return -vecs[::-1], counts[::-1]
     return vecs, counts
@@ -332,7 +315,7 @@ def lambda_p_weights(
 ) -> tuple[list[tuple[int, ...]], list[int]]:
     """(weights, multiplicities) of Lambda^p n- tensored by the character lam.
 
-    The weights are coordinate tuples, the rows of :func:`sum_vectors`
+    The weights are coordinate tuples, the rows of :func:`phi_sums`
     translated by lam in Python ints, so they are exact for any size of lam;
     a translation keeps lexicographic order.  The multiplicities are Python
     ints.
@@ -340,5 +323,5 @@ def lambda_p_weights(
     shift = lam.coords
     if len(shift) != rs.rank:
         raise ExteriorError(f"weight has {len(shift)} coordinates")
-    vecs, counts = sum_vectors(rs, p)
+    vecs, counts = phi_sums(rs, p)
     return [tuple(map(add, row, shift)) for row in vecs.tolist()], counts.tolist()

@@ -23,7 +23,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .exterior import MAX_LIVE_KEYS, rows_below, sum_vectors
+from .exterior import MAX_LIVE_KEYS, phi_sums, rows_below
 from .rootsys import Root, RootSystem, Weight, SCHEMA
 from .weyl import pairings
 
@@ -45,7 +45,7 @@ class Witness:
 class VanishingReport:
     """Outcome of the hypothesis check for one (type, p, lam).
 
-    Only the non-dominant rows are held: their indices in ``sum_vectors``
+    Only the non-dominant rows are held: their indices in ``phi_sums``
     order, and which of them are violations.  :meth:`witnesses` decodes the
     whole support on demand and finds each singular row's witness root then.
     """
@@ -78,7 +78,7 @@ class VanishingReport:
         """
         rs = self._rs
         roots = rs.positive_roots
-        mu, _ = sum_vectors(rs, self.p)
+        mu, _ = phi_sums(rs, self.p)
         x = mu[self._idx] + _shift(self.lam)
         witness = np.full(self._idx.size, -1)
         for block in _blocks(rs, np.flatnonzero(~self._violation)):

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .exterior import sum_vectors
+from .exterior import phi_sums
 from .nonvanishing import build_certificate, e1_page
 from .rootsys import (
     RootSystem,
@@ -234,7 +234,7 @@ def _every_degree(rs: RootSystem) -> range:
     the whole sweep one build.
     """
     n = rs.num_positive_roots
-    sum_vectors(rs, n // 2)
+    phi_sums(rs, n // 2)
     return range(n + 1)
 
 
@@ -290,7 +290,7 @@ def check_pairing_bound() -> CriterionResult:
         h = rs.coxeter_number
         attained = False
         for j in _every_degree(rs)[1:]:
-            vecs, _ = sum_vectors(rs, j)
+            vecs, _ = phi_sums(rs, j)
             pair = pairings(rs, vecs + 1)
             top = int(np.abs(pair).max())
             if top > h - 1:
@@ -343,7 +343,12 @@ def check_certificates() -> CriterionResult:
 
 
 def check_rho_top_degree() -> CriterionResult:
-    """Criterion 8: at lam = rho and p = d - 1 everything is singular off A2."""
+    """Criterion 8: at lam = rho and p = d - 1 everything is singular off A2.
+
+    The rows of degree ``d - 1``, the complement of layer 1, must be the
+    ``gamma - 2 rho``, each once; then an empty page says that :func:`bwb`
+    finds every ``gamma - rho`` singular.
+    """
     t0 = time.perf_counter()
     problems = []
     for name in RHO_TYPES:
@@ -352,12 +357,11 @@ def check_rho_top_degree() -> CriterionResult:
         page = e1_page(rs, d - 1, rs.rho)
         if page.buckets:
             problems.append(f"{name}: buckets {page.buckets} not empty")
-        else:
-            for gamma in rs.positive_roots:
-                out = bwb(rs, gamma.weight - rs.rho)
-                if not out.is_singular:
-                    problems.append(f"{name}: weight from {gamma.root_coords} regular")
-                    break
+        # a (d - 1)-subset leaves out one root gamma and sums to gamma - 2 rho
+        rows, counts = phi_sums(rs, d - 1)
+        want = sorted((g.weight - rs.rho - rs.rho).coords for g in rs.positive_roots)
+        if [tuple(r) for r in rows.tolist()] != want or set(counts.tolist()) != {1}:
+            problems.append(f"{name}: degree {d - 1} rows are not gamma - 2 rho, once each")
     a2 = root_system("A2")
     page = e1_page(a2, 2, a2.rho)
     if not page.buckets:

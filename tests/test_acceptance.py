@@ -80,6 +80,31 @@ def test_criterion9_catches_a_corrupted_outcome(monkeypatch, corrupt, message):
     assert res.detail.startswith(f"B3 {target}: {message}")
 
 
+def _shift_first_row(rows, counts):
+    rows = rows.copy()
+    rows[0, 0] += 1
+    return rows, counts
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda rows, counts: (rows[:-1], counts[:-1]),
+        _shift_first_row,
+        lambda rows, counts: (rows, counts * 2),
+    ],
+    ids=["row-dropped", "row-changed", "multiplicity-doubled"],
+)
+def test_criterion8_catches_a_wrong_complement_row(monkeypatch, corrupt):
+    # criterion 8 reads degree d - 1, the complement of layer 1, through
+    # verify.phi_sums; the e1 page reads through exterior and stays right
+    real = verify.phi_sums
+    monkeypatch.setattr(verify, "phi_sums", lambda rs, p: corrupt(*real(rs, p)))
+    res = check_rho_top_degree()
+    assert not res.ok
+    assert res.detail.startswith("A3: degree 5 rows are not gamma - 2 rho")
+
+
 def test_criterion1_reports_a_missing_or_changed_golden_table(tmp_path):
     res = check_appendix_tables(tmp_path / "missing")
     assert not res.ok and res.detail.endswith("not found")

@@ -2,13 +2,18 @@
 
 import dataclasses
 import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from rootcoh import cli, exterior, root_system
 from rootcoh.cli import build_parser, main
 from rootcoh.nonvanishing import build_certificate
-from rootcoh.exterior import subset_sums_reference, sum_vectors
+from rootcoh.exterior import phi_sums, subset_sums_reference
 from rootcoh.weyl import pairing
 
 
@@ -359,7 +364,7 @@ def _counts_by_python_ints(rs, p, lam):
     """Theorem 1's counts and first violation, from ``weyl.pairing`` alone."""
     counts = {"dominant": 0, "singular": 0, "violation": 0}
     first = None
-    for mu in sum_vectors(rs, p)[0].tolist():
+    for mu in phi_sums(rs, p)[0].tolist():
         shifted = [m + c for m, c in zip(mu, lam)]
         if min(shifted) >= 0:
             counts["dominant"] += 1
@@ -386,7 +391,7 @@ def test_check_t1_packs_each_field_to_its_column(capsys, name, p, coord, counts)
     assert (code, err) == (0 if p == 1 else 1, "")
     rows = [[-c for c in r.weight.coords] for r in rs.positive_roots]
     support = sorted(subset_sums_reference(rows, p))
-    assert [tuple(mu) for mu in sum_vectors(rs, p)[0].tolist()] == support
+    assert [tuple(mu) for mu in phi_sums(rs, p)[0].tolist()] == support
     doc = json.loads(out)
     assert (doc["counts"], doc["first_violation"]) == _counts_by_python_ints(rs, p, lam)
     assert doc["counts"] == counts
@@ -457,3 +462,17 @@ def test_the_shared_parser_keeps_no_state(capsys):
     build_parser.cache_clear()
     shared = [run(capsys, *argv) for argv in calls + calls[:1]]
     assert shared == alone + alone[:1]
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE here")
+def test_a_closed_pipe_ends_the_script_quietly():
+    # phi E8 -p 2 prints about 88 KB, more than a pipe buffer holds, so the
+    # script is still writing when its reader closes the pipe
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    argv = [sys.executable, "-m", "rootcoh.cli", "phi", "E8", "-p", "2"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (-signal.SIGPIPE, b"")

@@ -21,7 +21,6 @@ from rootcoh.exterior import (
     encode_vectors,
     subset_sums_reference,
     sum_keys,
-    sum_vectors,
 )
 from rootcoh.rootsys import Weight
 
@@ -85,7 +84,7 @@ def test_readers_return_the_pair():
     assert vecs.shape == (counts.size, 3)
     big = 2**70
     weights, mults = lambda_p_weights(b3, 2, Weight.of(big, 0, -big))
-    rows, want = sum_vectors(b3, 2)
+    rows, want = phi_sums(b3, 2)
     assert mults == want.tolist()
     assert all(type(m) is int for m in mults)
     assert weights == [(a + big, b, c - big) for a, b, c in rows.tolist()]
@@ -134,31 +133,30 @@ def test_reference_enumeration_agrees():
 
 
 def test_engines_agree_on_all_degrees():
-    # every p, so both the direct layers (p <= N/2) and the complement
-    # identity (p > N/2) are compared bit for bit with the oracle
-    for name in ("B3", "G2", "D4"):
+    # every p, so both the direct layers (p <= N/2) and the reflected
+    # complements (p > N/2) are compared bit for bit with the oracle
+    for name in ("B3", "G2", "D4", "A4"):
         rs = root_system(name)
         rows = [tuple(-c for c in r.weight.coords) for r in rs.positive_roots]
         for p in range(rs.num_positive_roots + 1):
             ref = sorted(subset_sums_reference(rows, p).items())
             want = np.array([w for w, _ in ref], dtype=np.int64)
             want_counts = np.array([m for _, m in ref], dtype=np.int64)
-            vecs, counts = sum_vectors(rs, p)
+            vecs, counts = phi_sums(rs, p)
             assert vecs.dtype == counts.dtype == np.int64
             np.testing.assert_array_equal(vecs, want)
             np.testing.assert_array_equal(counts, want_counts)
-            # the direct layer's keys are the oracle's weights, packed
+            # at every p, sum_keys' keys are the oracle's weights, packed
             keys, _, fields = sum_keys(rs, p)
-            if 2 * p <= rs.num_positive_roots:
-                np.testing.assert_array_equal(keys, encode_vectors(want, fields))
+            np.testing.assert_array_equal(keys, encode_vectors(want, fields))
 
 
 def test_complement_is_not_held_to_the_packing_range():
-    # layer 208 of A20 is read off layer 2, -2 - layer 2, and is never
-    # packed itself; its entries reach -4
+    # layer 208 of A20 is layer 2 reflected, -2 - layer 2, in layer 2's
+    # field widths; it is never packed from its own sums, which reach -4
     a20 = root_system("A20")
-    low, low_counts = sum_vectors(a20, 2)
-    high, high_counts = sum_vectors(a20, 208)
+    low, low_counts = phi_sums(a20, 2)
+    high, high_counts = phi_sums(a20, 208)
     np.testing.assert_array_equal(high, -2 - low[::-1])
     np.testing.assert_array_equal(high_counts, low_counts[::-1])
     assert int(high_counts.sum()) == math.comb(210, 2)
@@ -256,7 +254,7 @@ def test_column_profile_matches_enumeration():
         for p, profile in enumerate(rs.column_profile):
             sums = subset_sums_reference(rows, p)
             assert profile == tuple(map(max, zip(*sums))), (name, p)
-            top = sum_vectors(rs, n - p)[0].max(axis=0).tolist()
+            top = phi_sums(rs, n - p)[0].max(axis=0).tolist()
             assert top == [m - 2 for m in profile], (name, p)
 
 

@@ -16,7 +16,7 @@ from rootcoh import (
     theorem12_lambda,
     weyl_dim,
 )
-from rootcoh.exterior import ExteriorError, sum_vectors
+from rootcoh.exterior import ExteriorError, phi_sums
 from rootcoh.nonvanishing import (
     CertificateError,
     _beta_indices,
@@ -223,7 +223,7 @@ def test_e1_page_refuses_out_of_contract_input():
 
 def _buckets_by_pairings(rs, p: int, lam: Weight) -> dict[int, int]:
     """Degree totals from one pairing matrix, without any reflection."""
-    vecs, counts = sum_vectors(rs, p)
+    vecs, counts = phi_sums(rs, p)
     rows = pairings(rs, vecs + np.array(lam.coords) + 1).tolist()
     buckets: dict[int, int] = {}
     for row, mult in zip(rows, counts.tolist()):

@@ -14,7 +14,9 @@ from rootcoh import (
     root_system,
     vanishing,
 )
-from rootcoh.exterior import rows_below, subset_sums_reference, sum_keys, sum_vectors
+from rootcoh.exterior import (
+    phi_sums, rows_below, subset_sums_reference, sum_keys,
+)
 from rootcoh.rootsys import Weight, all_simple_types
 from rootcoh.vanishing import VanishingError
 from rootcoh.verify import BRUTE_TYPES
@@ -127,8 +129,10 @@ REFERENCE_CASES = [
 
 def _field_edges(rs, p):
     """Floors one either side of each packed field's ends, per column: the
-    field of column k holds ``low_k .. top_k = low_k + 2**width_k - 1`` on
-    the direct layer, and ``-2 - top_k .. -2 - low_k`` on the complement."""
+    field of column k holds ``low_k .. top_k = low_k + 2**width_k - 1`` of
+    layer p itself, reflected from layer N - p when p > N/2; the images
+    ``-2 - e`` are the ends of layer N - p's field read through the
+    complement."""
     edges = []
     for low, _, width in sum_keys(rs, p)[2]:
         ends = [low + d for d in (-1, 0, 1)] + [low + 2**width - 1 + d for d in (0, 1, 2)]
@@ -159,11 +163,10 @@ def test_check_theorem1_matches_the_plain_enumeration(data):
         k = data.draw(st.integers(0, rs.rank - 1))
         coords[k] = data.draw(st.sampled_from(edges))
     support = _reference_support(name, p)
-    vecs, _ = sum_vectors(rs, p)
+    vecs, _ = phi_sums(rs, p)
     assert [tuple(row) for row in vecs.tolist()] == support
     # rows_below takes any floor: -lam, small ones, and one either side of
-    # each end of a column's packed field, on both the direct and the
-    # complement reading
+    # each end of a column's packed field and of their complement images
     free = [data.draw(st.integers(-8, 8) | st.sampled_from(ends + [2**62, -(2**62)]))
             for ends in _field_edges(rs, p)]
     for floor in (free, [-c for c in coords]):

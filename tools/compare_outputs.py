@@ -22,12 +22,13 @@ limits either form to the named families.
 
 The families: the ops of ``perfbench/pool.json`` (read from this checkout,
 never written), ``check-t1`` on eleven types with ``p`` on both sides of
-``N/2`` and lambdas at the int64 guards, ``e1``, ``phi``, ``roots``,
-``certify``, ``verify-all``, ``bwb``, ``parse``, the integer-parsing
-edge cases, ``cli``: ``coxeter``, ``thresholds`` and ``certify
---explain`` on every type of rank <= 8, each subcommand with every shared
-input (type, ``-p``, ``--lambda``) missing or out of range in turn, a
-failing ``verify-all``, ``--version``, ``-h`` and no arguments; and
+``N/2`` and lambdas at the int64 guards, ``e1``, ``phi`` on six types with
+``p`` just outside, at and next to each end of ``0..N`` and on both sides
+of ``N/2``, ``roots``, ``certify``, ``verify-all``, ``bwb``, ``parse``, the
+integer-parsing edge cases, ``cli``: ``coxeter``, ``thresholds`` and
+``certify --explain`` on every type of rank <= 8, each subcommand with
+every shared input (type, ``-p``, ``--lambda``) missing or out of range in
+turn, a failing ``verify-all``, ``--version``, ``-h`` and no arguments; and
 ``packing``: ``check-t1`` and ``e1`` on twelve types of rank 11 to 40 at
 the deepest layers one int64 key holds, and one past them.
 """
@@ -118,7 +119,7 @@ def _phi(root_system) -> list[list[str]]:
     for name in ("A1", "A2", "B3", "C3", "G2", "D4"):
         n = root_system(name).num_positive_roots
         for p, sign, fmt in itertools.product(
-            (-1, 0, 1, n // 2, n, n + 1), "+-", FORMATS
+            (-1, 0, 1, n // 2, n // 2 + 1, n - 1, n, n + 1), "+-", FORMATS
         ):
             out.append(["phi", name, "-p", str(p), "--sign", sign, "--format", fmt])
     return out
