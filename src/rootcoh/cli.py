@@ -1,4 +1,13 @@
-"""Command line front end.
+"""Command line front end, and the one writer of its output format.
+
+The library returns plain data; this module alone turns it into table lines
+and JSON documents.  Each JSON document is one object whose ``schema`` is
+:data:`SCHEMA` and whose ``kind`` names it: ``root_system`` (``roots``),
+``coxeter``, ``singular`` or ``concentrated`` (``bwb``), ``weight_multiset``
+(``phi``), ``e1_page`` (``e1``), ``vanishing_report`` (``check-t1``, with a
+``witnesses`` list under ``--witnesses``), ``thresholds``,
+``nonvanishing_certificate`` (``certify``), ``verification``
+(``verify-all``), and ``failure``, the record that ends a failed table run.
 
 Exit codes: 0 success / verified, 1 a verification or certificate check
 failed (in table format the last line of standard output is a
@@ -24,21 +33,28 @@ from pathlib import Path
 
 from . import __version__
 from .exterior import BudgetExceededError, ExteriorError, phi_sums
-from .nonvanishing import CertificateError, build_certificate, e1_page
-from .rootsys import (
-    RootSystem,
-    RootSystemError,
-    Weight,
-    column_classes,
-    root_system,
-    rs_to_json_dict,
-    SCHEMA,
+from .nonvanishing import (
+    CertificateError,
+    E1Page,
+    NonvanishingCertificate,
+    build_certificate,
+    e1_page,
 )
-from .vanishing import VanishingError, check_theorem1, corollary_bound, prop2_threshold
-from .verify import verify_all
-from .weyl import WeylError, bwb
+from .rootsys import RootSystem, RootSystemError, Weight, column_classes, root_system
+from .vanishing import (
+    VanishingError,
+    VanishingReport,
+    check_theorem1,
+    corollary_bound,
+    prop2_threshold,
+)
+from .verify import CriterionResult, verify_all
+from .weyl import BwbOutcome, WeylError, bwb
 
 USAGE_ERROR = 2
+
+#: The format version that every JSON document carries as its ``schema``.
+SCHEMA = "rootcoh/1"
 
 
 class UsageError(Exception):
@@ -85,9 +101,32 @@ def _emit(doc: dict) -> None:
     print(json.dumps(doc, indent=2))
 
 
+def _root_system_doc(rs: RootSystem) -> dict:
+    return {
+        "schema": SCHEMA,
+        "kind": "root_system",
+        "type": str(rs.simple_type),
+        "rank": rs.rank,
+        "cartan": [list(row) for row in rs.cartan],
+        "half_norms": list(rs.half_norms),
+        "h": rs.coxeter_number,
+        "h_per_root": list(rs.coxeter_per_root),
+        "roots": [
+            {
+                "root": list(r.root_coords),
+                "weight": list(r.weight.coords),
+                "coroot": list(r.coroot_coords),
+                "half_norm": r.half_norm,
+                "height": r.height,
+            }
+            for r in rs.positive_roots
+        ],
+    }
+
+
 def _cmd_roots(args, rs: RootSystem, lam: None) -> None:
     if args.format == "json":
-        _emit(rs_to_json_dict(rs))
+        _emit(_root_system_doc(rs))
         return
     width = max(len(" ".join(str(c) for c in r.root_coords)) for r in rs.positive_roots)
     for r in rs.positive_roots:
@@ -115,12 +154,22 @@ def _cmd_coxeter(args, rs: RootSystem, lam: None) -> None:
         print(f"  h_alpha_{i} = {v:3d}  ({cls})")
 
 
+def _outcome_doc(outcome: BwbOutcome) -> dict:
+    if outcome.is_singular:
+        return {"kind": "singular"}
+    return {
+        "kind": "concentrated",
+        "degree": outcome.degree,
+        "dominant": list(outcome.dominant.coords),
+        "dim": str(outcome.dim),
+    }
+
+
 def _cmd_bwb(args, rs: RootSystem, lam: Weight) -> None:
     outcome = bwb(rs, lam)
     if args.format == "json":
-        doc = {"schema": SCHEMA, "type": str(rs.simple_type), "lambda": list(lam.coords)}
-        doc.update(outcome.to_json_dict())
-        _emit(doc)
+        _emit({"schema": SCHEMA, "type": str(rs.simple_type), "lambda": list(lam.coords),
+               **_outcome_doc(outcome)})
     elif outcome.is_singular:
         print(f"{rs.simple_type} lambda={lam}: singular, all cohomology vanishes")
     else:
@@ -158,10 +207,23 @@ def _cmd_phi(args, rs: RootSystem, lam: None) -> None:
         print(f"  {Weight(tuple(w))}  x{m}")
 
 
+def _page_doc(page: E1Page) -> dict:
+    return {
+        "schema": SCHEMA,
+        "kind": "e1_page",
+        "type": page.type,
+        "p": page.p,
+        "lambda": list(page.lam.coords),
+        "buckets": {str(k): str(v) for k, v in page.buckets.items()},
+        "euler": str(page.euler),
+        "concentrated": page.concentrated,
+    }
+
+
 def _cmd_e1(args, rs: RootSystem, lam: Weight) -> None:
     page = e1_page(rs, args.p, lam)
     if args.format == "json":
-        _emit(page.to_json_dict())
+        _emit(_page_doc(page))
         return
     print(f"{rs.simple_type} p={args.p} lambda={lam}:")
     if not page.buckets:
@@ -172,10 +234,46 @@ def _cmd_e1(args, rs: RootSystem, lam: Weight) -> None:
     print(f"  concentrated: {'yes' if page.concentrated else 'no'}")
 
 
+def _report_doc(report: VanishingReport) -> dict:
+    return {
+        "schema": SCHEMA,
+        "kind": "vanishing_report",
+        "type": report.type,
+        "p": report.p,
+        "lambda": list(report.lam.coords),
+        "verdict": report.verdict,
+        "counts": {
+            "dominant": report.num_dominant,
+            "singular": report.num_singular,
+            "violation": report.num_violations,
+        },
+        "first_violation": (
+            list(report.first_violation.coords) if report.first_violation else None
+        ),
+        "conclusion": (
+            "H^{p,q} = 0 for all q >= 1 at this (p, lambda)"
+            if report.passed
+            else "hypothesis not satisfied; no vanishing conclusion"
+        ),
+    }
+
+
 def _cmd_check_t1(args, rs: RootSystem, lam: Weight) -> dict | None:
     report = check_theorem1(rs, args.p, lam)
     if args.format == "json":
-        _emit(report.to_json_dict(include_witnesses=args.witnesses))
+        doc = _report_doc(report)
+        if args.witnesses:
+            doc["witnesses"] = [
+                {
+                    "mu": list(w.mu.coords),
+                    "kind": w.kind,
+                    "singular_root": (
+                        list(w.singular_root.root_coords) if w.singular_root else None
+                    ),
+                }
+                for w in report.witnesses()
+            ]
+        _emit(doc)
     else:
         print(
             f"{rs.simple_type} p={args.p} lambda={lam}: {report.verdict} "
@@ -223,6 +321,37 @@ def _cmd_thresholds(args, rs: RootSystem, lam: None) -> None:
     print(f"  any p (global):   {tuple(glob)}")
 
 
+def _conclusion(cert: NonvanishingCertificate) -> str:
+    if not cert.valid:
+        return f"invalid certificate: {cert.failure}"
+    return f"H^{{{cert.d - 1},1}}(G/B, L({cert.lam})) != 0; Bott vanishing fails"
+
+
+def _certificate_doc(cert: NonvanishingCertificate) -> dict:
+    return {
+        "schema": SCHEMA,
+        "kind": "nonvanishing_certificate",
+        "type": cert.type,
+        "d": cert.d,
+        "lambda": list(cert.lam.coords),
+        "beta_indices": list(cert.beta_indices),
+        "valid": cert.valid,
+        "failure": cert.failure,
+        "degree_totals": {str(k): str(v) for k, v in cert.degree_totals.items()},
+        "conclusion": _conclusion(cert),
+        "weights": [
+            {
+                "source_root": list(r.source.root_coords),
+                "mu": list(r.mu.coords),
+                "kind": r.kind,
+                "nu": list(r.nu.root_coords) if r.nu else None,
+                "outcome": _outcome_doc(r.outcome),
+            }
+            for r in cert.records
+        ],
+    }
+
+
 def _explain_certificate(cert) -> None:
     units = [r for r in cert.records if not r.outcome.is_singular]
     print("filtration splices (one short exact sequence per peeled lowest weight;")
@@ -248,7 +377,7 @@ def _explain_certificate(cert) -> None:
 def _cmd_certify(args, rs: RootSystem, lam: None) -> dict | None:
     cert = build_certificate(rs)
     if args.format == "json":
-        _emit(cert.to_json_dict())
+        _emit(_certificate_doc(cert))
     else:
         print(f"{cert.type}: d = {cert.d}, lambda = {cert.lam} (strictly dominant, ample)")
         print(
@@ -256,7 +385,7 @@ def _cmd_certify(args, rs: RootSystem, lam: None) -> dict | None:
             f"{len(cert.exceptional)} contributing"
         )
         print(f"  degree totals: {dict(cert.degree_totals)}")
-        print(f"  {cert.conclusion}")
+        print(f"  {_conclusion(cert)}")
         if cert.valid:
             print(
                 "  consequently this flag variety is not a toric variety and does "
@@ -267,6 +396,12 @@ def _cmd_certify(args, rs: RootSystem, lam: None) -> dict | None:
             _explain_certificate(cert)
     if not cert.valid:
         return {"type": cert.type, "failure": cert.failure}
+
+
+def _criterion_line(r: CriterionResult) -> str:
+    status = "PASS" if r.ok else "FAIL"
+    limit = f" (limit {r.limit_seconds:.0f}s)" if r.limit_seconds else ""
+    return f"{status}  {r.number}. {r.name}: {r.detail} [{r.seconds:.2f}s{limit}]"
 
 
 def _cmd_verify_all(args, rs: None, lam: None) -> dict | None:
@@ -293,7 +428,7 @@ def _cmd_verify_all(args, rs: None, lam: None) -> dict | None:
         )
     else:
         for r in results:
-            print(r.line)
+            print(_criterion_line(r))
     if not all(r.ok for r in results):
         return {"failed": [r.name for r in results if not r.ok]}
 

@@ -57,12 +57,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .rootsys import RootSystem, Weight
-
-#: Most keys the expansion may hold at once, over all its layers together
-#: with the shifted layer being merged in.  Of the rank <= 8 jobs with at most
-#: 10**8 subsets, A8 at p = 9 needs the most: 1,852,982 (1,645,110 at the end).
-MAX_LIVE_KEYS = 2**22
+# MAX_LIVE_KEYS, the catalogue bound 2**22, is the most keys the expansion may
+# hold at once, over all its layers together with the shifted layer being
+# merged in.  Of the rank <= 8 jobs with at most 10**8 subsets, A8 at p = 9
+# needs the most: 1,852,982 (1,645,110 at the end).
+from .rootsys import MAX_CATALOGUE_ENTRIES as MAX_LIVE_KEYS, RootSystem, Weight
 
 
 class BudgetExceededError(RuntimeError):

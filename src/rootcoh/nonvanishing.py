@@ -23,7 +23,7 @@ from typing import Mapping
 import numpy as np
 
 from .exterior import lambda_p_weights
-from .rootsys import Root, RootSystem, Weight, SCHEMA
+from .rootsys import Root, RootSystem, Weight
 from .weyl import BwbOutcome, bwb, pairing
 
 
@@ -143,39 +143,6 @@ class NonvanishingCertificate:
     def num_singular(self) -> int:
         return sum(1 for r in self.records if r.outcome.is_singular)
 
-    @property
-    def conclusion(self) -> str:
-        if not self.valid:
-            return f"invalid certificate: {self.failure}"
-        return (
-            f"H^{{{self.d - 1},1}}(G/B, L({self.lam})) != 0; "
-            "Bott vanishing fails"
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "kind": "nonvanishing_certificate",
-            "type": self.type,
-            "d": self.d,
-            "lambda": list(self.lam.coords),
-            "beta_indices": list(self.beta_indices),
-            "valid": self.valid,
-            "failure": self.failure,
-            "degree_totals": {str(k): str(v) for k, v in self.degree_totals.items()},
-            "conclusion": self.conclusion,
-            "weights": [
-                {
-                    "source_root": list(r.source.root_coords),
-                    "mu": list(r.mu.coords),
-                    "kind": r.kind,
-                    "nu": list(r.nu.root_coords) if r.nu else None,
-                    "outcome": r.outcome.to_json_dict(),
-                }
-                for r in self.records
-            ],
-        }
-
 
 def _check_filtration_order(records: tuple[ClassifiedWeight, ...]) -> None:
     """No later weight may sit below an earlier one in the root order.
@@ -283,18 +250,6 @@ class E1Page:
     buckets: Mapping[int, int]
     euler: int
     concentrated: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "kind": "e1_page",
-            "type": self.type,
-            "p": self.p,
-            "lambda": list(self.lam.coords),
-            "buckets": {str(k): str(v) for k, v in self.buckets.items()},
-            "euler": str(self.euler),
-            "concentrated": self.concentrated,
-        }
 
 
 def e1_page(rs: RootSystem, p: int, lam: Weight) -> E1Page:

@@ -27,8 +27,6 @@ from itertools import accumulate
 from math import prod
 from typing import Iterator, Sequence
 
-SCHEMA = "rootcoh/1"
-
 #: Number of positive roots per family, used as a construction self-check.
 _POSITIVE_COUNT = {
     "A": lambda n: n * (n + 1) // 2,
@@ -52,15 +50,14 @@ _RANKS = {
 }
 
 
-#: Largest ``|Phi+| * rank`` a catalogue may hold, checked before it is built:
-#: the 2**22 that bounds the exterior engine's live keys (``MAX_LIVE_KEYS``),
-#: kept here since this module cannot import that one.  It admits A <= 202
-#: and B, C, D <= 161.
+#: Largest ``|Phi+| * rank`` a catalogue may hold, checked before it is built;
+#: it admits A <= 202 and B, C, D <= 161.  The exterior engine imports the
+#: same 2**22 as ``MAX_LIVE_KEYS``, its cap on the keys held at once.
 MAX_CATALOGUE_ENTRIES = 2**22
 
 
 class RootSystemError(ValueError):
-    """Raised when a simple type or root-system document is malformed."""
+    """Raised on a malformed simple type or an inconsistent root-system catalogue."""
 
 
 @dataclass(frozen=True, order=True)
@@ -511,30 +508,6 @@ def column_classes(rs: RootSystem) -> tuple[str, ...]:
     """'short' or 'long' for each simple root."""
     shortest = min(rs.half_norms)
     return tuple("short" if hn == shortest else "long" for hn in rs.half_norms)
-
-
-def rs_to_json_dict(rs: RootSystem) -> dict:
-    """Versioned JSON document for a root system."""
-    return {
-        "schema": SCHEMA,
-        "kind": "root_system",
-        "type": str(rs.simple_type),
-        "rank": rs.rank,
-        "cartan": [list(row) for row in rs.cartan],
-        "half_norms": list(rs.half_norms),
-        "h": rs.coxeter_number,
-        "h_per_root": list(rs.coxeter_per_root),
-        "roots": [
-            {
-                "root": list(r.root_coords),
-                "weight": list(r.weight.coords),
-                "coroot": list(r.coroot_coords),
-                "half_norm": r.half_norm,
-                "height": r.height,
-            }
-            for r in rs.positive_roots
-        ],
-    }
 
 
 def all_simple_types(max_rank: int = 8) -> list[SimpleType]:

@@ -24,7 +24,7 @@ from typing import Iterator
 import numpy as np
 
 from .exterior import MAX_LIVE_KEYS, phi_sums, rows_below
-from .rootsys import Root, RootSystem, Weight, SCHEMA
+from .rootsys import Root, RootSystem, Weight
 from .weyl import pairings
 
 
@@ -89,41 +89,6 @@ class VanishingReport:
             kind = "dominant" if r is None else "violation" if r < 0 else "singular"
             root = roots[r] if kind == "singular" else None
             yield Witness(mu=Weight(tuple(row)), kind=kind, singular_root=root)
-
-    def to_json_dict(self, include_witnesses: bool = False) -> dict:
-        doc = {
-            "schema": SCHEMA,
-            "kind": "vanishing_report",
-            "type": self.type,
-            "p": self.p,
-            "lambda": list(self.lam.coords),
-            "verdict": self.verdict,
-            "counts": {
-                "dominant": self.num_dominant,
-                "singular": self.num_singular,
-                "violation": self.num_violations,
-            },
-            "first_violation": (
-                list(self.first_violation.coords) if self.first_violation else None
-            ),
-            "conclusion": (
-                "H^{p,q} = 0 for all q >= 1 at this (p, lambda)"
-                if self.passed
-                else "hypothesis not satisfied; no vanishing conclusion"
-            ),
-        }
-        if include_witnesses:
-            doc["witnesses"] = [
-                {
-                    "mu": list(w.mu.coords),
-                    "kind": w.kind,
-                    "singular_root": (
-                        list(w.singular_root.root_coords) if w.singular_root else None
-                    ),
-                }
-                for w in self.witnesses()
-            ]
-        return doc
 
 
 def _shift(lam: Weight) -> np.ndarray:

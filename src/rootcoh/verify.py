@@ -66,18 +66,14 @@ class CriterionResult:
     seconds: float
     limit_seconds: float | None = None
 
-    @property
-    def line(self) -> str:
-        status = "PASS" if self.ok else "FAIL"
-        limit = f" (limit {self.limit_seconds:.0f}s)" if self.limit_seconds else ""
-        return (
-            f"{status}  {self.number}. {self.name}: {self.detail} "
-            f"[{self.seconds:.2f}s{limit}]"
-        )
 
-
-def _result(number, name, ok, detail, t0, limit=None) -> CriterionResult:
+def _result(number, name, problems, detail, t0, limit=None) -> CriterionResult:
+    """Pass with ``detail`` iff ``problems`` is empty, else show the first
+    three problems; a run past ``limit`` seconds fails either way."""
     elapsed = time.perf_counter() - t0
+    ok = not problems
+    if problems:
+        detail = "; ".join(problems[:3])
     if limit is not None and elapsed > limit:
         ok = False
         detail += f"; exceeded time limit {limit}s"
@@ -113,7 +109,7 @@ def check_appendix_tables(golden_dir: Path | None = None) -> CriterionResult:
     t0 = time.perf_counter()
     gdir = Path(golden_dir) if golden_dir else default_golden_dir()
     if not gdir.is_dir():
-        return _result(1, "appendix-tables", False, f"golden dir {gdir} not found", t0, 1.0)
+        return _result(1, "appendix-tables", [f"golden dir {gdir} not found"], "", t0, 1.0)
     bad = []
     for name in GOLDEN_TABLES:
         rs = root_system(name)
@@ -121,13 +117,12 @@ def check_appendix_tables(golden_dir: Path | None = None) -> CriterionResult:
         try:
             golden = load_golden_table(gdir / f"{name}.txt")
         except ValueError as exc:
-            return _result(1, "appendix-tables", False, str(exc), t0, 1.0)
+            return _result(1, "appendix-tables", [str(exc)], "", t0, 1.0)
         if generated != golden:
             bad.append(name)
+    problems = [f"mismatch in {bad}"] if bad else []
     detail = f"{len(GOLDEN_TABLES)} tables compared bit-exact"
-    if bad:
-        detail = f"mismatch in {bad}"
-    return _result(1, "appendix-tables", not bad, detail, t0, 1.0)
+    return _result(1, "appendix-tables", problems, detail, t0, 1.0)
 
 
 def _spot_coxeter(t: SimpleType) -> int:
@@ -173,9 +168,7 @@ def check_coxeter_numbers() -> CriterionResult:
                 problems.append(f"{t}: half-sum identity at column {i}")
     n_types = len(all_simple_types(8))
     detail = f"{n_types} types satisfy the h and h_alpha laws"
-    if problems:
-        detail = "; ".join(problems[:4])
-    return _result(2, "coxeter-numbers", not problems, detail, t0, 1.0)
+    return _result(2, "coxeter-numbers", problems, detail, t0, 1.0)
 
 
 def _expected_column_stats(t: SimpleType) -> list[tuple[int, ...]]:
@@ -220,9 +213,7 @@ def check_column_statistics() -> CriterionResult:
             if sum(stats) != rs.num_positive_roots:
                 problems.append(f"{t} column {i}: counts do not sum to |Phi+|")
     detail = f"{len(types)} types, all columns match"
-    if problems:
-        detail = "; ".join(problems[:3])
-    return _result(3, "column-statistics", not problems, detail, t0, 1.0)
+    return _result(3, "column-statistics", problems, detail, t0, 1.0)
 
 
 def _every_degree(rs: RootSystem) -> range:
@@ -254,12 +245,8 @@ def check_prop2_sufficiency() -> CriterionResult:
         worst = max(worst, time.perf_counter() - t1)
     if worst > 60.0:
         problems.append(f"slowest type took {worst:.1f}s (limit 60s)")
-    detail = (
-        f"{len(BRUTE_TYPES)} types, every p; slowest type {worst:.2f}s"
-        if not problems
-        else "; ".join(problems[:3])
-    )
-    return _result(4, "prop2-sufficiency", not problems, detail, t0)
+    detail = f"{len(BRUTE_TYPES)} types, every p; slowest type {worst:.2f}s"
+    return _result(4, "prop2-sufficiency", problems, detail, t0)
 
 
 def check_corollary5() -> CriterionResult:
@@ -273,12 +260,8 @@ def check_corollary5() -> CriterionResult:
             rep = check_theorem1(rs, p, lam)
             if not rep.passed:
                 problems.append(f"{name} p={p}: {rep.first_violation}")
-    detail = (
-        f"{len(BRUTE_TYPES)} types, every p, lam = h_alpha - 1"
-        if not problems
-        else "; ".join(problems[:3])
-    )
-    return _result(5, "corollary5-sufficiency", not problems, detail, t0)
+    detail = f"{len(BRUTE_TYPES)} types, every p, lam = h_alpha - 1"
+    return _result(5, "corollary5-sufficiency", problems, detail, t0)
 
 
 def check_pairing_bound() -> CriterionResult:
@@ -299,12 +282,8 @@ def check_pairing_bound() -> CriterionResult:
                 attained = True
         if not attained:
             problems.append(f"{name}: bound h-1 never attained")
-    detail = (
-        f"{len(BOUND_TYPES)} types, all degrees, bound h-1 holds and is attained"
-        if not problems
-        else "; ".join(problems[:3])
-    )
-    return _result(6, "pairing-bound", not problems, detail, t0, 120.0)
+    detail = f"{len(BOUND_TYPES)} types, all degrees, bound h-1 holds and is attained"
+    return _result(6, "pairing-bound", problems, detail, t0, 120.0)
 
 
 def check_certificates() -> CriterionResult:
@@ -336,10 +315,8 @@ def check_certificates() -> CriterionResult:
     detail = (
         f"{len(types)} certificates valid; A2 pattern two degree-1 units "
         f"before one degree-0 unit"
-        if not problems
-        else "; ".join(problems[:3])
     )
-    return _result(7, "nonvanishing-certificates", not problems, detail, t0)
+    return _result(7, "nonvanishing-certificates", problems, detail, t0)
 
 
 def check_rho_top_degree() -> CriterionResult:
@@ -366,12 +343,8 @@ def check_rho_top_degree() -> CriterionResult:
     page = e1_page(a2, 2, a2.rho)
     if not page.buckets:
         problems.append("A2: expected a nonzero page at rho")
-    detail = (
-        f"{len(RHO_TYPES)} types all-singular at p=d-1; A2 page {page.buckets}"
-        if not problems
-        else "; ".join(problems[:3])
-    )
-    return _result(8, "rho-top-degree", not problems, detail, t0, 1.0)
+    detail = f"{len(RHO_TYPES)} types all-singular at p=d-1; A2 page {page.buckets}"
+    return _result(8, "rho-top-degree", problems, detail, t0, 1.0)
 
 
 def weyl_group_elements(rs: RootSystem) -> list[tuple[tuple[int, ...], ...]]:
@@ -464,10 +437,8 @@ def check_bwb_oracle() -> CriterionResult:
                     problems.append(f"{name} {lam}: oracle singular, bwb concentrated")
             elif hits[row] != 1:
                 problems.append(f"{name} {lam}: {hits[row]} regular images")
-                continue
             elif got.is_singular:
                 problems.append(f"{name} {lam}: oracle regular, bwb singular")
-                continue
             else:
                 length = lengths[which[row]]
                 if got.degree != length:
@@ -480,12 +451,8 @@ def check_bwb_oracle() -> CriterionResult:
                 break
         if problems:
             break
-    detail = (
-        f"{len(ORACLE_TYPES)} types, {total} weights agree with |W|-search"
-        if not problems
-        else "; ".join(problems[:3])
-    )
-    return _result(9, "bwb-oracle", not problems, detail, t0, 60.0)
+    detail = f"{len(ORACLE_TYPES)} types, {total} weights agree with |W|-search"
+    return _result(9, "bwb-oracle", problems, detail, t0, 60.0)
 
 
 def verify_all(golden_dir: Path | None = None) -> list[CriterionResult]:

@@ -60,16 +60,6 @@ class BwbOutcome:
     def is_singular(self) -> bool:
         return self.degree is None
 
-    def to_json_dict(self) -> dict:
-        if self.is_singular:
-            return {"kind": "singular"}
-        return {
-            "kind": "concentrated",
-            "degree": self.degree,
-            "dominant": list(self.dominant.coords),
-            "dim": str(self.dim),
-        }
-
 
 #: The one singular outcome; :class:`BwbOutcome` is frozen, so it is shared.
 _SINGULAR = BwbOutcome()

@@ -39,7 +39,7 @@ def results():
     out = {}
     for fn in CHECKS:
         res = fn()
-        print(res.line)
+        print(res.detail)
         out[res.number] = res
     return out
 
@@ -47,8 +47,8 @@ def results():
 @pytest.mark.parametrize("number", range(1, 10))
 def test_criterion(results, number):
     res = results[number]
-    print(res.line)
-    assert res.ok, res.line
+    print(res.detail)
+    assert res.ok, res.detail
 
 
 @pytest.mark.parametrize(

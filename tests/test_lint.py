@@ -7,9 +7,11 @@ used too, since re-exporting it is the point of the import.  The packed
 int64 keys of the exterior engine stay inside ``exterior.py``: no other
 module imports or reaches the names that read or write them.  Likewise the
 exact fallback of the pairing primitive is named only in ``weyl.py``, so no
-module forks the choice between the int64 and the Python-int pairing.  In
-``cli.py`` only ``main`` resolves the shared inputs and builds the failure
-record, so no subcommand grows an input or exit path of its own.
+module forks the choice between the int64 and the Python-int pairing.  The
+output format stays inside ``cli.py``: no other module names ``SCHEMA``,
+defines a ``to_json_dict`` or writes a ``"schema"`` key.  In ``cli.py`` only
+``main`` resolves the shared inputs and builds the failure record, so no
+subcommand grows an input or exit path of its own.
 """
 
 import ast
@@ -95,6 +97,28 @@ def test_exact_pairings_stay_in_weyl(path):
         elif isinstance(node, ast.Name):
             named |= node.id == "exact_pairings"
     assert not named, f"{path.name} names exact_pairings; call weyl.pairings instead"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_output_format_stays_in_cli(path):
+    if path.name == "cli.py":
+        return
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias) and node.name == "SCHEMA":
+            used.add("imports SCHEMA")
+        elif isinstance(node, ast.Name) and node.id == "SCHEMA":
+            used.add("names SCHEMA")
+        elif isinstance(node, ast.Attribute) and node.attr == "SCHEMA":
+            used.add("reaches SCHEMA")
+        elif isinstance(node, ast.FunctionDef) and node.name.endswith("to_json_dict"):
+            used.add(f"defines {node.name}")
+        elif isinstance(node, (ast.Dict, ast.Subscript)):
+            keys = node.keys if isinstance(node, ast.Dict) else [node.slice]
+            if any(isinstance(k, ast.Constant) and k.value == "schema" for k in keys):
+                used.add('writes a "schema" key')
+    assert not used, f"{path.name} knows the output format: {sorted(used)}"
 
 
 #: Calls that resolve a subcommand's shared inputs; only ``cli.main`` makes them.

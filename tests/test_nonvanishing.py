@@ -1,5 +1,6 @@
 """Witness weights, weight classification, certificates, and degree pages."""
 
+import json
 import random
 import re
 from math import prod
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from rootcoh import (
     build_certificate,
+    cli,
     classify_lemma11,
     e1_page,
     root_system,
@@ -24,6 +26,12 @@ from rootcoh.nonvanishing import (
 )
 from rootcoh.rootsys import Weight, all_simple_types
 from rootcoh.weyl import bwb, pairings
+
+
+def _cli_json(capsys, *argv):
+    """The document that ``rootcoh ARGV --format json`` prints."""
+    cli.main([*argv, "--format", "json"])
+    return json.loads(capsys.readouterr().out)
 
 
 def test_witness_weight_examples():
@@ -86,20 +94,21 @@ def test_classify_g2_extras():
     assert top[0].source.root_coords == (2, 3)
 
 
-def test_certificate_a2():
+def test_certificate_a2(capsys):
     cert = build_certificate(root_system("A2"))
     assert cert.valid
     assert cert.lam == Weight.of(1, 1)
     assert cert.degree_totals == {0: 1, 1: 2}
-    assert "H^{2,1}" in cert.conclusion
-    assert "Bott vanishing fails" in cert.conclusion
+    conclusion = _cli_json(capsys, "certify", "A2")["conclusion"]
+    assert "H^{2,1}" in conclusion
+    assert "Bott vanishing fails" in conclusion
 
 
-def test_certificate_b2():
+def test_certificate_b2(capsys):
     cert = build_certificate(root_system("B2"))
     assert cert.valid
     assert cert.d == 4
-    assert "H^{3,1}" in cert.conclusion
+    assert "H^{3,1}" in _cli_json(capsys, "certify", "B2")["conclusion"]
 
 
 def test_certificate_e8():
@@ -134,8 +143,8 @@ def test_certificate_orderings_sound():
         assert len([k for k in unit_positions if k < zero_pos]) >= 2
 
 
-def test_certificate_json_round_trip():
-    doc = build_certificate(root_system("B3")).to_json_dict()
+def test_certificate_json_round_trip(capsys):
+    doc = _cli_json(capsys, "certify", "B3")
     weights = doc.pop("weights")
     assert doc == {
         "schema": "rootcoh/1",
