@@ -49,7 +49,7 @@ from .vanishing import (
     prop2_threshold,
 )
 from .verify import CriterionResult, verify_all
-from .weyl import BwbOutcome, WeylError, bwb
+from .weyl import BwbOutcome, WeylError, bwb, weyl_dim
 
 USAGE_ERROR = 2
 
@@ -154,14 +154,14 @@ def _cmd_coxeter(args, rs: RootSystem, lam: None) -> None:
         print(f"  h_alpha_{i} = {v:3d}  ({cls})")
 
 
-def _outcome_doc(outcome: BwbOutcome) -> dict:
+def _outcome_doc(rs: RootSystem, outcome: BwbOutcome) -> dict:
     if outcome.is_singular:
         return {"kind": "singular"}
     return {
         "kind": "concentrated",
         "degree": outcome.degree,
         "dominant": list(outcome.dominant.coords),
-        "dim": str(outcome.dim),
+        "dim": str(weyl_dim(rs, outcome.dominant)),
     }
 
 
@@ -169,13 +169,13 @@ def _cmd_bwb(args, rs: RootSystem, lam: Weight) -> None:
     outcome = bwb(rs, lam)
     if args.format == "json":
         _emit({"schema": SCHEMA, "type": str(rs.simple_type), "lambda": list(lam.coords),
-               **_outcome_doc(outcome)})
+               **_outcome_doc(rs, outcome)})
     elif outcome.is_singular:
         print(f"{rs.simple_type} lambda={lam}: singular, all cohomology vanishes")
     else:
         print(
             f"{rs.simple_type} lambda={lam}: degree {outcome.degree}, "
-            f"dominant {outcome.dominant}, dim {outcome.dim}"
+            f"dominant {outcome.dominant}, dim {weyl_dim(rs, outcome.dominant)}"
         )
 
 
@@ -327,7 +327,7 @@ def _conclusion(cert: NonvanishingCertificate) -> str:
     return f"H^{{{cert.d - 1},1}}(G/B, L({cert.lam})) != 0; Bott vanishing fails"
 
 
-def _certificate_doc(cert: NonvanishingCertificate) -> dict:
+def _certificate_doc(rs: RootSystem, cert: NonvanishingCertificate) -> dict:
     return {
         "schema": SCHEMA,
         "kind": "nonvanishing_certificate",
@@ -345,14 +345,14 @@ def _certificate_doc(cert: NonvanishingCertificate) -> dict:
                 "mu": list(r.mu.coords),
                 "kind": r.kind,
                 "nu": list(r.nu.root_coords) if r.nu else None,
-                "outcome": _outcome_doc(r.outcome),
+                "outcome": _outcome_doc(rs, r.outcome),
             }
             for r in cert.records
         ],
     }
 
 
-def _explain_certificate(cert) -> None:
+def _explain_certificate(rs: RootSystem, cert: NonvanishingCertificate) -> None:
     units = [r for r in cert.records if not r.outcome.is_singular]
     print("filtration splices (one short exact sequence per peeled lowest weight;")
     print("singular weights change nothing by the vanishing lemma):")
@@ -364,7 +364,7 @@ def _explain_certificate(cert) -> None:
         )
         print(
             f"     {name} = {rec.mu}, concentrated in degree "
-            f"{rec.outcome.degree} with dimension {rec.outcome.dim}"
+            f"{rec.outcome.degree} with dimension {weyl_dim(rs, rec.outcome.dominant)}"
         )
     d1 = cert.degree_totals.get(1, 0)
     d0 = cert.degree_totals.get(0, 0)
@@ -377,7 +377,7 @@ def _explain_certificate(cert) -> None:
 def _cmd_certify(args, rs: RootSystem, lam: None) -> dict | None:
     cert = build_certificate(rs)
     if args.format == "json":
-        _emit(_certificate_doc(cert))
+        _emit(_certificate_doc(rs, cert))
     else:
         print(f"{cert.type}: d = {cert.d}, lambda = {cert.lam} (strictly dominant, ample)")
         print(
@@ -393,7 +393,7 @@ def _cmd_certify(args, rs: RootSystem, lam: None) -> dict | None:
                 "going to ample cone."
             )
         if args.explain:
-            _explain_certificate(cert)
+            _explain_certificate(rs, cert)
     if not cert.valid:
         return {"type": cert.type, "failure": cert.failure}
 

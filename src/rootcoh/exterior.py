@@ -27,7 +27,8 @@ knows about the complement.  The readers:
   sums of positive roots their negatives in reverse order.
 - :func:`lambda_p_weights` returns the rows of :func:`phi_sums` translated
   by lam as a list of Python-int tuples, and the multiplicities as a list
-  of Python ints, so that a translation by any lam is exact.
+  of Python ints; it translates in int64 while ``max|lam| + max|row| <
+  2**63`` and in Python ints past that bound, so it is exact for any lam.
 - :func:`rows_below` returns ``(indices, rows, size)``: only the rows with
   some coordinate below a floor, found on the packed fields, with their
   indices in :func:`phi_sums` order and the size of the whole support.
@@ -314,13 +315,18 @@ def lambda_p_weights(
 ) -> tuple[list[tuple[int, ...]], list[int]]:
     """(weights, multiplicities) of Lambda^p n- tensored by the character lam.
 
-    The weights are coordinate tuples, the rows of :func:`phi_sums`
-    translated by lam in Python ints, so they are exact for any size of lam;
-    a translation keeps lexicographic order.  The multiplicities are Python
-    ints.
+    The weights are coordinate tuples of Python ints, the rows of
+    :func:`phi_sums` translated by lam; a translation keeps lexicographic
+    order.  The translation runs in int64 while ``max|lam| + max|row| <
+    2**63``, checked before any add, and in Python ints past it, so it is
+    exact for any lam.  The multiplicities are Python ints.
     """
     shift = lam.coords
     if len(shift) != rs.rank:
         raise ExteriorError(f"weight has {len(shift)} coordinates")
     vecs, counts = phi_sums(rs, p)
-    return [tuple(map(add, row, shift)) for row in vecs.tolist()], counts.tolist()
+    top = max(int(vecs.max()), -int(vecs.min())) + max(map(abs, shift))
+    if top >= 2**63:
+        return [tuple(map(add, row, shift)) for row in vecs.tolist()], counts.tolist()
+    moved = vecs + np.array(shift, dtype=np.int64)
+    return list(map(tuple, moved.tolist())), counts.tolist()

@@ -24,7 +24,7 @@ import numpy as np
 
 from .exterior import lambda_p_weights
 from .rootsys import Root, RootSystem, Weight
-from .weyl import BwbOutcome, bwb, pairing
+from .weyl import BwbOutcome, bwb, pairing, weyl_dim
 
 
 class CertificateError(ValueError):
@@ -188,7 +188,7 @@ def build_certificate(rs: RootSystem) -> NonvanishingCertificate:
                 and not r.outcome.is_singular
                 and r.outcome.degree == 1
                 and r.outcome.dominant == Weight.zero(rs.rank)
-                and r.outcome.dim == 1
+                and weyl_dim(rs, r.outcome.dominant) == 1
             )
             if not ok:
                 raise CertificateError(
@@ -199,7 +199,7 @@ def build_certificate(rs: RootSystem) -> NonvanishingCertificate:
         if not (
             zero_rec.kind == KIND_EXCEPTIONAL
             and zero_rec.outcome.degree == 0
-            and zero_rec.outcome.dim == 1
+            and weyl_dim(rs, zero_rec.outcome.dominant) == 1
         ):
             raise CertificateError("zero weight does not contribute in degree 0")
         if not (pos[unit_sources[0]] < pos[beta_rc] and pos[unit_sources[1]] < pos[beta_rc]):
@@ -209,7 +209,7 @@ def build_certificate(rs: RootSystem) -> NonvanishingCertificate:
         for r in records:
             if not r.outcome.is_singular:
                 totals[r.outcome.degree] = (
-                    totals.get(r.outcome.degree, 0) + r.outcome.dim
+                    totals.get(r.outcome.degree, 0) + weyl_dim(rs, r.outcome.dominant)
                 )
         if any(q not in (0, 1) for q in totals):
             raise CertificateError("a weight regularizes outside degrees 0 and 1")
@@ -258,19 +258,26 @@ def e1_page(rs: RootSystem, p: int, lam: Weight) -> E1Page:
     The weights and their multiplicities come from :func:`lambda_p_weights
     <rootcoh.exterior.lambda_p_weights>` as coordinate tuples and ints,
     exact for any size of lam; each distinct weight goes through :func:`bwb`
-    once.  Buckets sum dimension times multiplicity per cohomology degree.
-    When at most one bucket is nonzero the filtration leaves no room for
+    once, as its tuple.  The regular ones make an isotypic page, ``(degree,
+    dominant coordinates) -> multiplicity``, and each key of it adds
+    :func:`weyl_dim` of its dominant part times its multiplicity to its
+    degree's bucket: one dimension per key, not one per weight.  When at
+    most one bucket is nonzero the filtration leaves no room for
     cancellation, so the buckets are the exact cohomology dimensions.  A lam
     of the wrong length, or ``p`` outside ``[0, N]``, raises
     :class:`ExteriorError <rootcoh.exterior.ExteriorError>`.
     """
     weights, mults = lambda_p_weights(rs, p, lam)
-    buckets: dict[int, int] = {}
+    page: dict[tuple[int, tuple[int, ...]], int] = {}
     for coords, mult in zip(weights, mults):
-        outcome = bwb(rs, Weight(coords))
+        outcome = bwb(rs, coords)
         if outcome.is_singular:
             continue
-        buckets[outcome.degree] = buckets.get(outcome.degree, 0) + outcome.dim * mult
+        key = (outcome.degree, outcome.dominant.coords)
+        page[key] = page.get(key, 0) + mult
+    buckets: dict[int, int] = {}
+    for (q, nu), mult in page.items():
+        buckets[q] = buckets.get(q, 0) + weyl_dim(rs, Weight(nu)) * mult
     euler = sum((-1) ** q * v for q, v in buckets.items())
     nonzero = sum(1 for v in buckets.values() if v)
     return E1Page(

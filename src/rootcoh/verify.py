@@ -26,7 +26,7 @@ from .rootsys import (
     root_system,
 )
 from .vanishing import check_theorem1, corollary_bound, prop2_threshold
-from .weyl import bwb, pairings
+from .weyl import bwb, pairings, weyl_dim
 
 #: Types whose every degree p is checked against the full weight multiset of
 #: Lambda^p n- in criteria 4 and 5 (largest: F4, |Phi+| = 24).
@@ -301,14 +301,16 @@ def check_certificates() -> CriterionResult:
             problems.append(f"{t}: {cert.failure}")
         if str(t) == "A2":
             a2 = cert
-    if a2.lam != root_system("A2").rho:
+    a2_rs = root_system("A2")
+    if a2.lam != a2_rs.rho:
         problems.append("A2 witness weight is not rho")
     exc_weights = {r.mu.coords for r in a2.exceptional}
     want = {(1, -2), (-2, 1), (0, 0)}
     if exc_weights != want:
         problems.append(f"A2 exceptional set {exc_weights} != {want}")
     degs = [r.outcome.degree for r in a2.exceptional]
-    if degs != [1, 1, 0] or any(r.outcome.dim != 1 for r in a2.exceptional):
+    dims = {weyl_dim(a2_rs, r.outcome.dominant) for r in a2.exceptional}
+    if degs != [1, 1, 0] or dims != {1}:
         problems.append(f"A2 pattern wrong: degrees {degs}")
     if worst > 1.0:
         problems.append(f"slowest certificate took {worst:.2f}s (limit 1s)")

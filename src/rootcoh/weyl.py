@@ -1,11 +1,15 @@
 """Dot action, dominance regularization, and the exact dimension formula.
 
-The central routine is :func:`bwb`: starting from ``x = lam + rho`` it either
-finds a zero coordinate (the weight is singular and all cohomology of the
-line bundle vanishes) or applies simple reflections at negative coordinates
-until ``x`` is strictly dominant.  The number of reflections applied is the
-unique cohomology degree in which the line bundle has sections.  A simple
-reflection negates one coordinate and moves only its Dynkin neighbours
+The central routine is :func:`bwb`, which takes lam as a
+:class:`~rootcoh.rootsys.Weight` or as a plain coordinate sequence.
+Starting from ``x = lam + rho`` it either finds a zero coordinate (the
+weight is singular and all cohomology of the line bundle vanishes) or
+applies simple reflections at negative coordinates until ``x`` is strictly
+dominant.  The number of reflections applied is the unique cohomology
+degree in which the line bundle has sections, and ``x - rho`` is the
+highest weight of that representation; its dimension, :func:`weyl_dim` of
+that weight, is left to the caller.  A simple reflection negates one
+coordinate and moves only its Dynkin neighbours
 (:attr:`~rootcoh.rootsys.RootSystem.reflection_table`), so each step is a
 sparse update in Python ints and only the moved coordinates are checked for
 a new zero.
@@ -49,12 +53,11 @@ class BwbOutcome:
     vanishes and all cohomology is zero.  Otherwise cohomology is
     concentrated in the single degree ``degree`` and equals the
     representation with highest weight ``dominant``, whose dimension is
-    ``dim``.
+    :func:`weyl_dim` of ``dominant``.
     """
 
     degree: int | None = None
     dominant: Weight | None = None
-    dim: int | None = None
 
     @property
     def is_singular(self) -> bool:
@@ -140,14 +143,16 @@ def weyl_dim(rs: RootSystem, lam: Weight) -> int:
     return q
 
 
-def bwb(rs: RootSystem, lam: Weight) -> BwbOutcome:
+def bwb(rs: RootSystem, lam: Weight | Sequence[int]) -> BwbOutcome:
     """Regularize lam + rho under the dot action.
 
-    Repeatedly applies the simple reflection at the negative coordinate of
-    smallest index.  A zero coordinate at any stage means the weight is
-    singular.  Otherwise the number of reflections, at most ``N = |Phi+|``,
-    is the length of the Weyl element that makes lam + rho strictly
-    dominant, and the dimension comes from :func:`weyl_dim`.
+    ``lam`` is a :class:`~rootcoh.rootsys.Weight` or a plain sequence of its
+    coordinates, as for :func:`pairing`.  Repeatedly applies the simple
+    reflection at the negative coordinate of smallest index.  A zero
+    coordinate at any stage means the weight is singular.  Otherwise the
+    number of reflections, at most ``N = |Phi+|``, is the length of the Weyl
+    element that makes lam + rho strictly dominant; the outcome holds it and
+    the dominant part, and no dimension.
 
     A reflection at ``i`` negates ``x[i]`` and moves only the Dynkin
     neighbours of ``i`` (:attr:`~rootcoh.rootsys.RootSystem.reflection_table`),
@@ -157,9 +162,10 @@ def bwb(rs: RootSystem, lam: Weight) -> BwbOutcome:
     a finite Weyl group never allows).
     """
     n, bound, neighbours = rs.reflection_table
-    if len(lam.coords) != n:
-        raise WeylError(f"weight has {len(lam.coords)} coordinates, expected {n}")
-    x = [c + 1 for c in lam.coords]
+    coords = lam.coords if isinstance(lam, Weight) else lam
+    if len(coords) != n:
+        raise WeylError(f"weight has {len(coords)} coordinates, expected {n}")
+    x = [c + 1 for c in coords]
     if 0 in x:
         return _SINGULAR
     for steps in range(bound + 1):
@@ -167,8 +173,7 @@ def bwb(rs: RootSystem, lam: Weight) -> BwbOutcome:
             if c < 0:
                 break
         else:
-            dominant = Weight(tuple([c - 1 for c in x]))
-            return BwbOutcome(steps, dominant, weyl_dim(rs, dominant))
+            return BwbOutcome(steps, Weight(tuple([c - 1 for c in x])))
         if steps == bound:
             break
         x[i] = -c
@@ -177,7 +182,9 @@ def bwb(rs: RootSystem, lam: Weight) -> BwbOutcome:
             if not y:
                 return _SINGULAR
             x[j] = y
-    raise WeylError(f"regularization of {lam} did not terminate in {bound} reflections")
+    raise WeylError(
+        f"regularization of {Weight(coords)} did not terminate in {bound} reflections"
+    )
 
 
 def degree_by_inversions(rs: RootSystem, lam: Weight) -> int | None:

@@ -1,4 +1,5 @@
-"""The two-tree form of tools/compare_outputs.py lists the argv whose outputs differ."""
+"""tools/compare_outputs.py: the two-tree form lists the argv whose outputs
+differ, and the fast families still hash to the committed values."""
 
 import shutil
 import subprocess
@@ -7,6 +8,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "compare_outputs.py"
+HASHES = ROOT / "tools" / "family_hashes.txt"
+#: The families that run in seconds; ``check-t1``, ``e1``, ``bwb`` and
+#: ``packing`` take longer and are left to the two-tree form.
+FAST = ("pool", "phi", "roots+certify", "verify-all", "parse", "cli")
 MESSAGE = "--lambda must be comma-separated integers"
 
 
@@ -36,3 +41,16 @@ def test_two_trees_list_the_argv_that_differ(tmp_path):
         "  stderr: check-t1 A2 -p 1 --lambda '١٢,2'",
         "  stderr: e1 A2 -p 1 --lambda '1,２'",
     ]
+
+
+def test_fast_families_match_the_committed_hashes():
+    # every output of these families is byte-identical to the tree that
+    # wrote tools/family_hashes.txt; an intended change rewrites that file
+    committed = {line.split()[0]: line for line in HASHES.read_text().splitlines()}
+    family_args = [arg for name in FAST for arg in ("--family", name)]
+    out = subprocess.run(
+        [sys.executable, str(TOOL), *family_args, str(ROOT / "src")],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout.splitlines() == [committed[name] for name in FAST]

@@ -88,6 +88,15 @@ def test_readers_return_the_pair():
     assert mults == want.tolist()
     assert all(type(m) is int for m in mults)
     assert weights == [(a + big, b, c - big) for a, b, c in rows.tolist()]
+    # int64 translation while max|lam| + max|row| < 2**63: the rows reach
+    # +-4 in their last column, so the first lam past the bound would wrap
+    top = int(np.abs(rows).max())
+    assert rows[:, 2].max() == top == -rows[:, 2].min()
+    last = 2**63 - 1 - top
+    for c in (last, last + 1, -last, -last - 1):
+        weights, _ = lambda_p_weights(b3, 2, Weight.of(0, 0, c))
+        assert weights == [(a, b, d + c) for a, b, d in rows.tolist()]
+        assert all(type(x) is int for w in weights for x in w)
 
 
 def test_totals_are_binomials():

@@ -3,6 +3,7 @@
 import json
 import random
 import re
+from collections import Counter
 from math import prod
 
 import numpy as np
@@ -14,18 +15,20 @@ from rootcoh import (
     cli,
     classify_lemma11,
     e1_page,
+    nonvanishing,
     root_system,
     theorem12_lambda,
+    weyl,
     weyl_dim,
 )
-from rootcoh.exterior import ExteriorError, phi_sums
+from rootcoh.exterior import ExteriorError, lambda_p_weights, phi_sums
 from rootcoh.nonvanishing import (
     CertificateError,
     _beta_indices,
     _check_filtration_order,
 )
 from rootcoh.rootsys import Weight, all_simple_types
-from rootcoh.weyl import bwb, pairings
+from rootcoh.weyl import WeylError, bwb, pairings
 
 
 def _cli_json(capsys, *argv):
@@ -88,7 +91,9 @@ def test_classify_g2_extras():
     assert kinds[(0, 1)] == "extra"
     assert kinds[(-1, 2)] == "singular"
     extras = [r for r in rows if r.kind == "extra"]
-    assert {(r.outcome.degree, r.outcome.dim) for r in extras} == {(1, 7), (0, 7)}
+    assert {(r.outcome.degree, weyl_dim(g2, r.outcome.dominant)) for r in extras} == {
+        (1, 7), (0, 7)
+    }
     # the dominant extra comes from the highest root
     top = [r for r in rows if r.mu.coords == (0, 1)]
     assert top[0].source.root_coords == (2, 3)
@@ -127,7 +132,8 @@ def test_certificate_c2_accepted():
 
 def test_certificate_orderings_sound():
     for name in ("A4", "B3", "D5", "G2", "E6"):
-        cert = build_certificate(root_system(name))
+        rs = root_system(name)
+        cert = build_certificate(rs)
         assert cert.valid
         heights = [r.source.height for r in cert.records]
         assert heights == sorted(heights)
@@ -135,7 +141,8 @@ def test_certificate_orderings_sound():
         unit_positions = [
             k
             for k, r in enumerate(cert.records)
-            if not r.outcome.is_singular and r.outcome.degree == 1 and r.outcome.dim == 1
+            if not r.outcome.is_singular and r.outcome.degree == 1
+            and weyl_dim(rs, r.outcome.dominant) == 1
         ]
         zero_pos = next(
             k for k, r in enumerate(cert.records) if r.mu == Weight.zero(len(r.mu))
@@ -205,15 +212,13 @@ def test_e1_page_euler_is_multiset_invariant():
     lam = theorem12_lambda(g2)
     page = e1_page(g2, 5, lam)
     # recompute from individually regularized weights in shuffled order
-    from rootcoh.exterior import lambda_p_weights
-
     entries = list(zip(*lambda_p_weights(g2, 5, lam)))
     random.Random(3).shuffle(entries)
     chi = 0
     for coords, m in entries:
         out = bwb(g2, Weight(coords))
         if not out.is_singular:
-            chi += (-1) ** out.degree * out.dim * m
+            chi += (-1) ** out.degree * weyl_dim(g2, out.dominant) * m
     assert chi == page.euler == -1
 
 
@@ -258,6 +263,85 @@ def test_e1_page_agrees_with_one_pairing_matrix(data):
     assert list(page.buckets.items()) == sorted(expected.items())
     assert page.euler == sum((-1) ** q * v for q, v in expected.items())
     assert page.concentrated == (len(expected) <= 1)
+
+
+#: (type, p, lam) pages with repeated dominant parts, a non-dominant lam and
+#: a lam past int64.
+COUNTED_PAGES = [
+    ("A2", 1, (1, 1)),
+    ("G2", 5, (2, 1)),
+    ("B3", 4, (-1, 2, 0)),
+    ("C3", 3, (2**70, 0, -1)),
+    ("D4", 6, (1, 1, 1, 1)),
+    ("F4", 12, (0, 1, 0, 2)),
+]
+
+
+def test_e1_page_regularizes_each_weight_once_and_sizes_each_key_once(monkeypatch):
+    regularized, sized, inside_bwb = [], [], []
+    real_bwb, real_dim = weyl.bwb, weyl.weyl_dim
+
+    def counting_bwb(rs, lam):
+        out = real_bwb(rs, lam)
+        regularized.append((tuple(lam), out))
+        return out
+
+    def counting_dim(rs, lam):
+        sized.append(lam.coords)
+        return real_dim(rs, lam)
+
+    def dim_from_weyl(rs, lam):
+        inside_bwb.append(lam.coords)
+        return real_dim(rs, lam)
+
+    monkeypatch.setattr(nonvanishing, "bwb", counting_bwb)
+    monkeypatch.setattr(nonvanishing, "weyl_dim", counting_dim)
+    # bwb reaches weyl_dim, if at all, through its own module
+    monkeypatch.setattr(weyl, "weyl_dim", dim_from_weyl)
+    repeats = 0
+    for name, p, coords in COUNTED_PAGES:
+        rs = root_system(name)
+        regularized.clear()
+        sized.clear()
+        e1_page(rs, p, Weight(coords))
+        weights, _ = lambda_p_weights(rs, p, Weight(coords))
+        # one bwb call per support weight, the count the benchmark pins
+        assert sorted(w for w, _ in regularized) == sorted(weights)
+        keys = {(out.degree, out.dominant.coords) for _, out in regularized
+                if not out.is_singular}
+        # one weyl_dim call per distinct (degree, dominant) key
+        assert Counter(sized) == Counter(nu for _, nu in keys)
+        regular = sum(not out.is_singular for _, out in regularized)
+        repeats += regular - len(keys)
+    assert inside_bwb == []
+    assert repeats > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_e1_page_equals_the_per_weight_sum(data):
+    # the isotypic page against the per-weight definition: sum over the
+    # regular weights of mult * weyl_dim(bwb(w).dominant), by degree; and
+    # bwb takes a Weight, a tuple or a list alike
+    rs = root_system(data.draw(st.sampled_from(all_simple_types(3))))
+    p = data.draw(st.integers(0, rs.num_positive_roots))
+    coords = data.draw(st.tuples(*[st.integers(-4, 6) for _ in range(rs.rank)]))
+    expected: dict[int, int] = {}
+    for w, mult in zip(*lambda_p_weights(rs, p, Weight(coords))):
+        out = bwb(rs, Weight(w))
+        assert bwb(rs, w) == bwb(rs, list(w)) == out
+        if not out.is_singular:
+            dim = weyl_dim(rs, out.dominant)
+            expected[out.degree] = expected.get(out.degree, 0) + dim * mult
+    page = e1_page(rs, p, Weight(coords))
+    assert list(page.buckets.items()) == sorted(expected.items())
+    wrong = coords + (0,) if data.draw(st.booleans()) else coords[:-1]
+    messages = set()
+    for lam in (Weight(wrong), wrong, list(wrong)):
+        with pytest.raises(WeylError) as err:
+            bwb(rs, lam)
+        messages.add(str(err.value))
+    assert messages == {f"weight has {len(wrong)} coordinates, expected {rs.rank}"}
 
 
 def test_g2_page_at_witness_weight():

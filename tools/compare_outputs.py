@@ -11,7 +11,12 @@ every argv is run in this process through ``rootcoh.cli.main``, and each
 family's SHA-256 covers, per run, the argv, the exit code, standard output
 and standard error; it prints one line per family: name, runs, hash.
 Decimals in ``verify-all`` output are masked, since they are wall-clock
-timings.
+timings.  Every run sees ``COLUMNS=80``, so the ``-h`` text that argparse
+wraps to the terminal width is the same on any terminal.
+``tools/family_hashes.txt`` holds this output for the checked-in tree, and a
+tier-1 test recomputes its fast families; a change that alters an output on
+purpose rewrites it with ``python3 tools/compare_outputs.py src >
+tools/family_hashes.txt``.
 
 With two trees, each tree runs in a child process (``--runs``, which writes
 one JSON line per run and one per family hash), and the script prints, per
@@ -42,6 +47,7 @@ import io
 import itertools
 import json
 import math
+import os
 import random
 import re
 import shlex
@@ -258,6 +264,9 @@ def _family_hashes(src: Path, only: list[str], per_run: bool) -> None:
     """Print one line per family: name, runs and hash; or, with ``per_run``,
     the JSON lines of the two-tree form: ``[family, argv, code, stdout hash,
     stderr hash]`` per run, then ``[family, runs, family hash]``."""
+    # argparse wraps -h to the terminal width; pin it, in this process and
+    # in a child of the two-tree form alike
+    os.environ["COLUMNS"] = "80"
     fams = families(src)
     unknown = [name for name in only if name not in fams]
     if unknown:
