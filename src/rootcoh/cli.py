@@ -353,10 +353,9 @@ def _certificate_doc(rs: RootSystem, cert: NonvanishingCertificate) -> dict:
 
 
 def _explain_certificate(rs: RootSystem, cert: NonvanishingCertificate) -> None:
-    units = [r for r in cert.records if not r.outcome.is_singular]
     print("filtration splices (one short exact sequence per peeled lowest weight;")
     print("singular weights change nothing by the vanishing lemma):")
-    for k, rec in enumerate(units):
+    for k, rec in enumerate(cert.exceptional):
         name = f"mu_{k + 1}"
         print(
             f"  0 -> H^0({name}) -> H^0(V_s) -> H^0(V_s+1) -> "

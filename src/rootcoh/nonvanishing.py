@@ -9,10 +9,11 @@ pins enough of the cohomology to force ``H^{d-1,1} != 0``: the degree-1
 contributions strictly outweigh the degree-0 ones while no other degree
 occurs, so the alternating sum leaves the first cohomology nonzero.
 
-The certificate built here validates exactly those structural facts
-(classification of every weight, regularization outcomes, ordering); the
-splice of long exact sequences that turns them into the cohomological
-conclusion is standard bookkeeping and is not re-derived.
+The certificate built here validates exactly those structural facts (every
+weight classified, the filtration order, one pattern check on the exceptional
+weights' outcomes, the degree totals); the splice of long exact sequences
+that turns them into the cohomological conclusion is standard bookkeeping
+and is not re-derived.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .exterior import lambda_p_weights
 from .rootsys import Root, RootSystem, Weight
-from .weyl import BwbOutcome, bwb, pairing, weyl_dim
+from .weyl import BwbOutcome, bwb, pairings, weyl_dim
 
 
 class CertificateError(ValueError):
@@ -75,49 +76,46 @@ def classify_lemma11(rs: RootSystem) -> list[ClassifiedWeight]:
 
     ``beta = beta1 + beta2`` is the pair of simple roots that
     :func:`theorem12_lambda` subtracts from 2*rho.  Each weight is
-    exceptional (one of -beta2, -beta1, 0), or singular with an explicit
-    witness from the triple {beta1, beta2, beta1 + beta2}, or, for G2 only,
-    one of the two extra regular weights.  Any other outcome falsifies the
+    exceptional (sourced at the triple {beta1, beta2, beta1 + beta2} itself:
+    -beta2, -beta1, 0), or singular with an explicit witness ``nu`` from that
+    triple, or, for G2 only, one of the two extra regular weights.  ``nu``
+    is the first of the triple whose column is 0 in one
+    :func:`~rootcoh.weyl.pairings` matrix of the ``mu + rho``, and each
+    weight goes through :func:`bwb` once.  Any other outcome falsifies the
     classification and raises, naming the offending root.
     """
     i, j = _beta_indices(rs)
     b1 = rs.simple_root(i)
     b2 = rs.simple_root(j)
-    beta_sum_rc = tuple(
-        a + b for a, b in zip(b1.root_coords, b2.root_coords)
-    )
-    triple = (b1, b2, rs.root_by_coords(beta_sum_rc))
+    sum_rc = tuple(a + b for a, b in zip(b1.root_coords, b2.root_coords))
+    triple = (b1, b2, rs.root_by_coords(sum_rc))
     beta_w = b1.weight + b2.weight
-    zero = Weight.zero(rs.rank)
-    exceptional_values = {(-b2.weight).coords, (-b1.weight).coords, zero.coords}
-    is_g2 = rs.simple_type.family == "G"
+    mus = [alpha.weight - beta_w for alpha in rs.positive_roots]
+    cols = [rs.index_of(t.root_coords) for t in triple]
+    hits = (pairings(rs, np.array([mu.coords for mu in mus]) + 1)[:, cols] == 0).tolist()
 
     out: list[ClassifiedWeight] = []
-    for alpha in rs.positive_roots:
-        mu = alpha.weight - beta_w
+    for alpha, mu, hit in zip(rs.positive_roots, mus, hits):
         outcome = bwb(rs, mu)
-        if mu.coords in exceptional_values:
-            out.append(ClassifiedWeight(alpha, mu, KIND_EXCEPTIONAL, None, outcome))
-            continue
-        nu = next(
-            (t for t in triple if pairing(rs, mu + rs.rho, t) == 0),
-            None,
-        )
-        if nu is not None:
+        nu = None
+        if alpha in triple:
+            kind = KIND_EXCEPTIONAL
+        elif True in hit:
+            nu = triple[hit.index(True)]
             if not outcome.is_singular:
                 raise CertificateError(
                     f"{rs.simple_type}: weight {mu} from root {alpha.root_coords} "
                     f"pairs to zero with {nu.root_coords} but regularizes"
                 )
-            out.append(ClassifiedWeight(alpha, mu, KIND_SINGULAR, nu, outcome))
-            continue
-        if is_g2 and not outcome.is_singular:
-            out.append(ClassifiedWeight(alpha, mu, KIND_EXTRA, None, outcome))
-            continue
-        raise CertificateError(
-            f"{rs.simple_type}: weight {mu} from root {alpha.root_coords} is "
-            "neither exceptional nor singular via the designated triple"
-        )
+            kind = KIND_SINGULAR
+        elif rs.simple_type.family == "G" and not outcome.is_singular:
+            kind = KIND_EXTRA
+        else:
+            raise CertificateError(
+                f"{rs.simple_type}: weight {mu} from root {alpha.root_coords} is "
+                "neither exceptional nor singular via the designated triple"
+            )
+        out.append(ClassifiedWeight(alpha, mu, kind, nu, outcome))
     return out
 
 
@@ -136,7 +134,7 @@ class NonvanishingCertificate:
 
     @property
     def exceptional(self) -> tuple[ClassifiedWeight, ...]:
-        """The sublist with non-singular regularization outcome."""
+        """Every record with a regular outcome, G2's two extras included."""
         return tuple(r for r in self.records if not r.outcome.is_singular)
 
     @property
@@ -162,82 +160,50 @@ def build_certificate(rs: RootSystem) -> NonvanishingCertificate:
     """Construct and validate the full nonvanishing certificate for one type.
 
     Weights are ordered by ascending height of the source root with a
-    lexicographic tiebreak (the canonical order of the catalogue).  The
-    validated pattern: the two weights sourced at the designated simple roots
-    regularize to degree 1 with trivial dominant part, they precede the zero
-    weight (degree 0, dimension 1), every other weight is singular except the
-    tracked extras, and the total degree-1 dimension strictly exceeds the
-    degree-0 total with no other degree present.
+    lexicographic tiebreak (the canonical order of the catalogue).  One
+    pattern check: in that order the exceptional weights regularize to
+    ``(degree, dominant) == [(1, 0), (1, 0), (0, 0)]``, so the units sourced
+    at beta1 and beta2 precede the zero weight.  Every other weight is
+    singular except G2's extras, and the total degree-1 dimension strictly
+    exceeds the degree-0 total with no other degree present.
     """
-    t = str(rs.simple_type)
-    d = rs.num_positive_roots
     lam = theorem12_lambda(rs)
-    i, j = _beta_indices(rs)
     try:
         records = tuple(classify_lemma11(rs))
         _check_filtration_order(records)
-        b1 = rs.simple_root(i)
-        b2 = rs.simple_root(j)
-        pos = {r.source.root_coords: k for k, r in enumerate(records)}
-        unit_sources = (b1.root_coords, b2.root_coords)
-        beta_rc = tuple(a + b for a, b in zip(*unit_sources))
-        for rc in unit_sources:
-            r = records[pos[rc]]
-            ok = (
-                r.kind == KIND_EXCEPTIONAL
-                and not r.outcome.is_singular
-                and r.outcome.degree == 1
-                and r.outcome.dominant == Weight.zero(rs.rank)
-                and weyl_dim(rs, r.outcome.dominant) == 1
+        zero = Weight.zero(rs.rank)
+        got = [(r.outcome.degree, r.outcome.dominant)
+               for r in records if r.kind == KIND_EXCEPTIONAL]
+        if got != [(1, zero), (1, zero), (0, zero)]:
+            raise CertificateError(
+                "exceptional weights give (degree, dominant) "
+                f"[{', '.join(f'({q}, {dom})' for q, dom in got)}], "
+                f"not [(1, {zero}), (1, {zero}), (0, {zero})]"
             )
-            if not ok:
-                raise CertificateError(
-                    f"weight from simple root {rc} does not contribute one "
-                    "unit in degree 1"
-                )
-        zero_rec = records[pos[beta_rc]]
-        if not (
-            zero_rec.kind == KIND_EXCEPTIONAL
-            and zero_rec.outcome.degree == 0
-            and weyl_dim(rs, zero_rec.outcome.dominant) == 1
-        ):
-            raise CertificateError("zero weight does not contribute in degree 0")
-        if not (pos[unit_sources[0]] < pos[beta_rc] and pos[unit_sources[1]] < pos[beta_rc]):
-            raise CertificateError("degree-1 units do not precede the zero weight")
-
         totals: dict[int, int] = {}
         for r in records:
             if not r.outcome.is_singular:
-                totals[r.outcome.degree] = (
-                    totals.get(r.outcome.degree, 0) + weyl_dim(rs, r.outcome.dominant)
-                )
+                q = r.outcome.degree
+                totals[q] = totals.get(q, 0) + weyl_dim(rs, r.outcome.dominant)
         if any(q not in (0, 1) for q in totals):
             raise CertificateError("a weight regularizes outside degrees 0 and 1")
         if totals.get(1, 0) <= totals.get(0, 0):
             raise CertificateError(
                 "degree-1 total does not dominate the degree-0 total"
             )
-        return NonvanishingCertificate(
-            type=t,
-            d=d,
-            lam=lam,
-            beta_indices=(i, j),
-            records=records,
-            degree_totals=dict(sorted(totals.items())),
-            valid=True,
-            failure=None,
-        )
+        failure = None
     except CertificateError as exc:
-        return NonvanishingCertificate(
-            type=t,
-            d=d,
-            lam=lam,
-            beta_indices=(i, j),
-            records=(),
-            degree_totals={},
-            valid=False,
-            failure=str(exc),
-        )
+        records, totals, failure = (), {}, str(exc)
+    return NonvanishingCertificate(
+        type=str(rs.simple_type),
+        d=rs.num_positive_roots,
+        lam=lam,
+        beta_indices=_beta_indices(rs),
+        records=records,
+        degree_totals=dict(sorted(totals.items())),
+        valid=failure is None,
+        failure=failure,
+    )
 
 
 @dataclass(frozen=True)

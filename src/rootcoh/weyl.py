@@ -69,7 +69,8 @@ _SINGULAR = BwbOutcome()
 
 
 def pairing(rs: RootSystem, mu: Weight | Sequence[int], gamma: Root) -> int:
-    """Exact pairing (mu, gamma^v) via gamma's coroot coordinates."""
+    """Exact pairing (mu, gamma^v) via gamma's coroot coordinates: the scalar
+    reference for tests, with no library caller."""
     coords = mu.coords if isinstance(mu, Weight) else tuple(mu)
     if len(coords) != rs.rank:
         raise WeylError(f"weight has {len(coords)} coordinates, expected {rs.rank}")

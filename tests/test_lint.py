@@ -7,7 +7,9 @@ used too, since re-exporting it is the point of the import.  The packed
 int64 keys of the exterior engine stay inside ``exterior.py``: no other
 module imports or reaches the names that read or write them.  Likewise the
 exact fallback of the pairing primitive is named only in ``weyl.py``, so no
-module forks the choice between the int64 and the Python-int pairing.  The
+module forks the choice between the int64 and the Python-int pairing, and
+the scalar references ``pairing`` and ``degree_by_inversions``, which tests
+compare against, are named only there and in ``__init__``.  The
 output format stays inside ``cli.py``: no other module names ``SCHEMA``,
 defines a ``to_json_dict`` or writes a ``"schema"`` key.  In ``cli.py`` only
 ``main`` resolves the shared inputs and builds the failure record, so no
@@ -83,20 +85,38 @@ def test_packed_keys_stay_in_exterior(path):
     assert not used, f"{path.name} reaches the packed-key format through {sorted(used)}"
 
 
+def _named(path: Path, names: set[str]) -> set[str]:
+    """The members of ``names`` that the module imports, reaches or names."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias):
+            found.add(node.name)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.Name):
+            found.add(node.id)
+    return found & names
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_exact_pairings_stay_in_weyl(path):
     if path.name == "weyl.py":
         return
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    named = False
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            named |= any(a.name == "exact_pairings" for a in node.names)
-        elif isinstance(node, ast.Attribute):
-            named |= node.attr == "exact_pairings"
-        elif isinstance(node, ast.Name):
-            named |= node.id == "exact_pairings"
+    named = _named(path, {"exact_pairings"})
     assert not named, f"{path.name} names exact_pairings; call weyl.pairings instead"
+
+
+#: Scalar references that tests compare the batched routines against.
+SCALAR_REFERENCES = {"pairing", "degree_by_inversions"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_scalar_references_have_no_library_caller(path):
+    if path.name in ("weyl.py", "__init__.py"):
+        return
+    named = _named(path, SCALAR_REFERENCES)
+    assert not named, f"{path.name} names {sorted(named)}; call weyl.pairings instead"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from rootcoh import (
     build_certificate,
+    check_theorem1,
     cli,
     classify_lemma11,
     e1_page,
@@ -28,7 +29,7 @@ from rootcoh.nonvanishing import (
     _check_filtration_order,
 )
 from rootcoh.rootsys import Weight, all_simple_types
-from rootcoh.weyl import WeylError, bwb, pairings
+from rootcoh.weyl import BwbOutcome, WeylError, bwb, pairings
 
 
 def _cli_json(capsys, *argv):
@@ -148,6 +149,69 @@ def test_certificate_orderings_sound():
             k for k, r in enumerate(cert.records) if r.mu == Weight.zero(len(r.mu))
         )
         assert len([k for k in unit_positions if k < zero_pos]) >= 2
+
+
+def _corrupted_certificate(monkeypatch, rs, target: Weight, outcome: BwbOutcome):
+    """build_certificate(rs) with nonvanishing.bwb answering ``outcome`` at ``target``."""
+    honest = nonvanishing.bwb
+
+    def corrupted(rs_, lam):
+        return outcome if tuple(lam) == target.coords else honest(rs_, lam)
+
+    monkeypatch.setattr(nonvanishing, "bwb", corrupted)
+    cert = build_certificate(rs)
+    assert not cert.valid
+    assert cert.records == () and cert.degree_totals == {}
+    return cert
+
+
+@pytest.mark.parametrize("name", ["A2", "B3", "G2", "E6"])
+@pytest.mark.parametrize("moved", ["unit", "zero"])
+def test_certificate_catches_an_exceptional_weight_in_the_wrong_degree(
+    monkeypatch, name, moved
+):
+    # the unit sourced at beta1 (mu = -beta2) moved to degree 2, or the zero
+    # weight moved to degree 1: the one pattern check names what it read
+    rs = root_system(name)
+    z = Weight.zero(rs.rank)
+    records = classify_lemma11(rs)
+    got = [(r.outcome.degree, r.outcome.dominant) for r in records if r.kind == "exceptional"]
+    if moved == "unit":
+        target, outcome = -rs.simple_root(_beta_indices(rs)[1]).weight, BwbOutcome(2, z)
+    else:
+        target, outcome = z, BwbOutcome(1, z)
+    k = [r.mu for r in records if r.kind == "exceptional"].index(target)
+    got[k] = (outcome.degree, outcome.dominant)
+    cert = _corrupted_certificate(monkeypatch, rs, target, outcome)
+    assert cert.failure == (
+        "exceptional weights give (degree, dominant) "
+        f"[{', '.join(f'({q}, {dom})' for q, dom in got)}], "
+        f"not [(1, {z}), (1, {z}), (0, {z})]"
+    )
+
+
+@pytest.mark.parametrize("name", ["B3", "G2", "E6"])
+def test_certificate_catches_a_triple_singular_weight_that_regularizes(monkeypatch, name):
+    # A2 has no singular weight (test_classify_a2_all_exceptional)
+    rs = root_system(name)
+    rec = next(r for r in classify_lemma11(rs) if r.kind == "singular")
+    cert = _corrupted_certificate(monkeypatch, rs, rec.mu, BwbOutcome(1, Weight.zero(rs.rank)))
+    assert cert.failure == (
+        f"{name}: weight {rec.mu} from root {rec.source.root_coords} "
+        f"pairs to zero with {rec.nu.root_coords} but regularizes"
+    )
+
+
+def test_certificate_totals_are_the_e1_page_one_below_the_top():
+    # the weights alpha - beta of the certificate are those of
+    # Lambda^{d-1} n- (x) k_lam, so e1 reaches the same totals by its own route
+    types = [t for t in all_simple_types(8) if t.rank >= 2]
+    assert len(types) == 31
+    for t in types:
+        rs = root_system(t)
+        cert = build_certificate(rs)
+        page = e1_page(rs, rs.num_positive_roots - 1, cert.lam)
+        assert cert.degree_totals == page.buckets, t
 
 
 def test_certificate_json_round_trip(capsys):
@@ -342,6 +406,21 @@ def test_e1_page_equals_the_per_weight_sum(data):
             bwb(rs, lam)
         messages.add(str(err.value))
     assert messages == {f"weight has {len(wrong)} coordinates, expected {rs.rank}"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_theorem1_passes_iff_the_e1_page_sits_in_degree_0(data):
+    # for dominant lam every regular weight of the page is in degree 0 iff
+    # each weight of the support is dominant or singular
+    name = data.draw(st.sampled_from(
+        ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "G2"]
+    ))
+    rs = root_system(name)
+    p = data.draw(st.integers(0, rs.num_positive_roots))
+    lam = Weight(data.draw(st.tuples(*[st.integers(0, 5) for _ in range(rs.rank)])))
+    page = e1_page(rs, p, lam)
+    assert check_theorem1(rs, p, lam).passed == all(q == 0 for q, v in page.buckets.items() if v)
 
 
 def test_g2_page_at_witness_weight():
