@@ -26,13 +26,13 @@ knows about the complement.  The readers:
   lexicographic order of the weights, for sums of negative roots, and for
   sums of positive roots their negatives in reverse order.
 - :func:`lambda_p_weights` returns the rows of :func:`phi_sums` translated
-  by lam as a list of Python-int tuples, and the multiplicities as a list
-  of Python ints; it translates in int64 while ``max|lam| + max|row| <
-  2**63`` and in Python ints past that bound, so it is exact for any lam.
+  by lam as Python-int tuples, and the multiplicities as Python ints.
 - :func:`rows_below` returns ``(indices, rows, size)``: only the rows with
   some coordinate below a floor, found on the packed fields, with their
   indices in :func:`phi_sums` order and the size of the whole support.
   No other row is decoded.
+- :func:`translate` adds a shift to rows that a reader returned, in int64
+  while the sums fit and in Python ints past that, so exact for any ints.
 
 Each type keeps the deepest layer list built so far in one in-memory cache;
 a request for a deeper layer rebuilds the list and replaces the entry.
@@ -53,7 +53,6 @@ is kept as the test oracle.
 from __future__ import annotations
 
 import math
-from operator import add
 from typing import Sequence
 
 import numpy as np
@@ -310,23 +309,28 @@ def phi_sums(
     return vecs, counts
 
 
+def translate(rows: np.ndarray, shift: Sequence[int]) -> np.ndarray:
+    """``rows + shift``, exact for any ints: int64 while ``max|rows| +
+    max|shift| < 2**63``, checked before the add, and past that bound an
+    object array of Python ints.  ``rows`` may be empty."""
+    top = max(map(abs, shift))
+    if rows.size:
+        top += max(int(rows.max()), -int(rows.min()))
+    # an int64 array plus an object array adds in Python ints
+    return rows + np.array(shift, dtype=np.int64 if top < 2**63 else object)
+
+
 def lambda_p_weights(
     rs: RootSystem, p: int, lam: Weight
 ) -> tuple[list[tuple[int, ...]], list[int]]:
     """(weights, multiplicities) of Lambda^p n- tensored by the character lam.
 
-    The weights are coordinate tuples of Python ints, the rows of
-    :func:`phi_sums` translated by lam; a translation keeps lexicographic
-    order.  The translation runs in int64 while ``max|lam| + max|row| <
-    2**63``, checked before any add, and in Python ints past it, so it is
-    exact for any lam.  The multiplicities are Python ints.
+    The weights are the rows of :func:`phi_sums` moved by :func:`translate`,
+    as coordinate tuples of Python ints in lexicographic order, exact for any
+    lam; the multiplicities are Python ints.
     """
     shift = lam.coords
     if len(shift) != rs.rank:
         raise ExteriorError(f"weight has {len(shift)} coordinates")
     vecs, counts = phi_sums(rs, p)
-    top = max(int(vecs.max()), -int(vecs.min())) + max(map(abs, shift))
-    if top >= 2**63:
-        return [tuple(map(add, row, shift)) for row in vecs.tolist()], counts.tolist()
-    moved = vecs + np.array(shift, dtype=np.int64)
-    return list(map(tuple, moved.tolist())), counts.tolist()
+    return list(map(tuple, translate(vecs, shift).tolist())), counts.tolist()

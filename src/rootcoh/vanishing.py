@@ -8,7 +8,8 @@ twisted (p, q) cohomology for all q >= 1.  Only the non-dominant rows are
 decoded, and they are classified in two stages: the pairing with the simple
 coroot ``alpha_k^v`` is coordinate k of ``x = lam + mu + rho``, so a row with
 a zero coordinate is singular at once, and only the rest are paired with
-every positive coroot (:func:`~rootcoh.weyl.pairings`, exact for any ints).
+every positive coroot.  :func:`~rootcoh.exterior.translate` builds ``x`` and
+:func:`~rootcoh.weyl.pairings` pairs it, both exact for any ints.
 
 ``prop2_threshold`` gives closed-form per-coordinate lower bounds on lam that
 guarantee a pass on every type, read off the column profile of the
@@ -23,7 +24,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .exterior import MAX_LIVE_KEYS, phi_sums, rows_below
+from .exterior import MAX_LIVE_KEYS, phi_sums, rows_below, translate
 from .rootsys import Root, RootSystem, Weight
 from .weyl import pairings
 
@@ -79,7 +80,7 @@ class VanishingReport:
         rs = self._rs
         roots = rs.positive_roots
         mu, _ = phi_sums(rs, self.p)
-        x = mu[self._idx] + _shift(self.lam)
+        x = translate(mu[self._idx], (self.lam + rs.rho).coords)
         witness = np.full(self._idx.size, -1)
         for block in _blocks(rs, np.flatnonzero(~self._violation)):
             witness[block] = (pairings(rs, x[block]) == 0).argmax(axis=1)
@@ -89,11 +90,6 @@ class VanishingReport:
             kind = "dominant" if r is None else "violation" if r < 0 else "singular"
             root = roots[r] if kind == "singular" else None
             yield Witness(mu=Weight(tuple(row)), kind=kind, singular_root=root)
-
-
-def _shift(lam: Weight) -> np.ndarray:
-    """``lam + rho`` in fundamental-weight coordinates, as int64."""
-    return np.array(lam.coords, dtype=np.int64) + 1
 
 
 def _blocks(rs: RootSystem, rows: np.ndarray) -> Iterator[np.ndarray]:
@@ -107,13 +103,9 @@ def _blocks(rs: RootSystem, rows: np.ndarray) -> Iterator[np.ndarray]:
 def check_theorem1(rs: RootSystem, p: int, lam: Weight) -> VanishingReport:
     """Classify every mu in the degree-p support against lam.
 
-    Requires lam dominant, with every coordinate of ``mu + lam + rho`` below
-    ``2**63`` for every mu of the support, so that the sums fit in int64:
-    coordinate i is checked as ``lam_i + 1 + max(0, max mu_i)`` in Python
-    ints, before any int64 add.  A p-subset of the negative roots and its
-    complement sum to ``-2 rho``, so ``max mu_i = M_i(N - p) - 2`` with
-    ``M = rs.column_profile``, and the support need not be scanned.  The
-    first violation is the lexicographically smallest violating mu.
+    Requires lam dominant, and is exact for lam of any size, as
+    :func:`~rootcoh.nonvanishing.e1_page` is.  The first violation is the
+    lexicographically smallest violating mu.
 
     Only the rows below ``-lam`` in some coordinate, the non-dominant ones,
     are decoded (:func:`~rootcoh.exterior.rows_below`), and they are
@@ -121,22 +113,15 @@ def check_theorem1(rs: RootSystem, p: int, lam: Weight) -> VanishingReport:
     with the simple coroot ``alpha_k^v`` is ``x_k``, so a row with a zero
     coordinate is singular.  Stage 2: each other row is paired with every
     positive coroot, in blocks of at most ``MAX_LIVE_KEYS // N`` rows, and is
-    a violation iff none of its pairings is 0.  :func:`~rootcoh.weyl.pairings`
-    is exact past int64, so every lambda that the guard above admits is
-    answered.  Witness roots are found only by
-    :meth:`VanishingReport.witnesses`.
+    a violation iff none of its pairings is 0.  Witness roots are found only
+    by :meth:`VanishingReport.witnesses`.
     """
     if len(lam.coords) != rs.rank:
         raise VanishingError(f"lambda has {len(lam.coords)} coordinates")
     if not lam.is_dominant:
         raise VanishingError(f"lambda must be dominant, got {lam}")
     idx, mu, size = rows_below(rs, p, [-c for c in lam.coords])
-    top = rs.column_profile[rs.num_positive_roots - p]
-    if max(c + max(0, m - 2) for c, m in zip(lam.coords, top)) + 1 >= 2**63:
-        raise VanishingError(
-            f"lambda + rho + mu coordinates must be below 2**63, got lambda = {lam}"
-        )
-    x = mu + _shift(lam)
+    x = translate(mu, (lam + rs.rho).coords)
     rest = np.flatnonzero(x.all(axis=1))
     violation = np.zeros(idx.size, dtype=bool)
     for block in _blocks(rs, rest):

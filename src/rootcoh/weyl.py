@@ -1,7 +1,7 @@
 """Dot action, dominance regularization, and the exact dimension formula.
 
-The central routine is :func:`bwb`, which takes lam as a
-:class:`~rootcoh.rootsys.Weight` or as a plain coordinate sequence.
+The central routine is :func:`bwb`, which takes lam as any integer
+sequence, a :class:`~rootcoh.rootsys.Weight` included.
 Starting from ``x = lam + rho`` it either finds a zero coordinate (the
 weight is singular and all cohomology of the line bundle vanishes) or
 applies simple reflections at negative coordinates until ``x`` is strictly
@@ -71,7 +71,7 @@ _SINGULAR = BwbOutcome()
 def pairing(rs: RootSystem, mu: Weight | Sequence[int], gamma: Root) -> int:
     """Exact pairing (mu, gamma^v) via gamma's coroot coordinates: the scalar
     reference for tests, with no library caller."""
-    coords = mu.coords if isinstance(mu, Weight) else tuple(mu)
+    coords = tuple(mu)
     if len(coords) != rs.rank:
         raise WeylError(f"weight has {len(coords)} coordinates, expected {rs.rank}")
     return sum(c * x for c, x in zip(gamma.coroot_coords, coords))
@@ -147,8 +147,8 @@ def weyl_dim(rs: RootSystem, lam: Weight) -> int:
 def bwb(rs: RootSystem, lam: Weight | Sequence[int]) -> BwbOutcome:
     """Regularize lam + rho under the dot action.
 
-    ``lam`` is a :class:`~rootcoh.rootsys.Weight` or a plain sequence of its
-    coordinates, as for :func:`pairing`.  Repeatedly applies the simple
+    ``lam`` is any integer sequence, a :class:`~rootcoh.rootsys.Weight`
+    included, as for :func:`pairing`.  Repeatedly applies the simple
     reflection at the negative coordinate of smallest index.  A zero
     coordinate at any stage means the weight is singular.  Otherwise the
     number of reflections, at most ``N = |Phi+|``, is the length of the Weyl
@@ -163,10 +163,9 @@ def bwb(rs: RootSystem, lam: Weight | Sequence[int]) -> BwbOutcome:
     a finite Weyl group never allows).
     """
     n, bound, neighbours = rs.reflection_table
-    coords = lam.coords if isinstance(lam, Weight) else lam
-    if len(coords) != n:
-        raise WeylError(f"weight has {len(coords)} coordinates, expected {n}")
-    x = [c + 1 for c in coords]
+    x = [c + 1 for c in lam]
+    if len(x) != n:
+        raise WeylError(f"weight has {len(x)} coordinates, expected {n}")
     if 0 in x:
         return _SINGULAR
     for steps in range(bound + 1):
@@ -184,7 +183,7 @@ def bwb(rs: RootSystem, lam: Weight | Sequence[int]) -> BwbOutcome:
                 return _SINGULAR
             x[j] = y
     raise WeylError(
-        f"regularization of {Weight(coords)} did not terminate in {bound} reflections"
+        f"regularization of {Weight(tuple(lam))} did not terminate in {bound} reflections"
     )
 
 

@@ -309,8 +309,6 @@ def test_verify_all_json(capsys):
         ("phi", "A2", "-p", "9"),
         ("thresholds", "A2", "-p", "9"),
         ("certify", "A1"),
-        ("check-t1", "A2", "-p", "1", "--lambda", "9223372036854775808,0"),
-        ("check-t1", "A2", "-p", "1", "--lambda", "9223372036854775807,0"),
         ("phi", "A63", "-p", "1"),
         ("check-t1", "A2", "-p", "x", "--lambda", "1,1"),
         ("check-t1", "A2", "-p", "1", "--lambda", "1,1", "--bogus"),
@@ -346,18 +344,6 @@ def test_integers_are_ascii_digits_with_a_sign(capsys):
     code, out, _ = run(capsys, "check-t1", "A2", "-p", " +1 ", "--lambda", " +1 ,1")
     assert code == 0
     assert out.startswith("A2 p=1 lambda=(1,1): pass")
-
-
-def test_check_t1_refuses_a_sum_past_int64(capsys):
-    # lambda + rho fits int64, but mu = (1, -2) lifts coordinate 0 to 2**63
-    code, out, err = run(
-        capsys, "check-t1", "A2", "-p", "1", "--lambda", "9223372036854775806,0"
-    )
-    assert (code, out) == (2, "")
-    assert err == (
-        "usage error: lambda + rho + mu coordinates must be below 2**63, "
-        "got lambda = (9223372036854775806,0)\n"
-    )
 
 
 def _counts_by_python_ints(rs, p, lam):
@@ -406,18 +392,30 @@ def test_check_t1_refuses_keys_past_62_bits(capsys):
 
 
 def test_check_t1_answers_past_the_pairing_guard(capsys):
-    # lambda + rho + mu fits int64, but max|x| times the largest coroot
-    # height does not: those blocks are paired in Python ints, not refused
+    # max|x| times the largest coroot height passes 2**63, and from
+    # 9223372036854775806 on so does lambda + rho + mu itself, as mu = (1, -2)
+    # lifts coordinate 0: those rows are translated and paired in Python
+    # ints, not refused
+    a2 = root_system("A2")
     code, out, err = run(
         capsys, "check-t1", "A2", "-p", "1", "--lambda", "4611686018427387904,0"
     )
     assert (code, err) == (1, "")
-    counts, first = _counts_by_python_ints(root_system("A2"), 1, (2**62, 0))
+    counts, first = _counts_by_python_ints(a2, 1, (2**62, 0))
     assert (counts, first) == ({"dominant": 1, "singular": 1, "violation": 1}, [1, -2])
     head, record = out.splitlines()
     assert head == ("A2 p=1 lambda=(4611686018427387904,0): fail "
                     "(dominant 1, singular 1, violations 1)")
     assert json.loads(record)["first_violation"] == first
+    for top in ("9223372036854775806", "9223372036854775807",
+                "9223372036854775808", "92233720368547758070"):
+        code, out, err = run(capsys, "check-t1", "A2", "-p", "1", "--lambda",
+                             f"{top},0", "--format", "json")
+        assert (code, err) == (1, "")
+        doc = json.loads(out)
+        assert (doc["counts"], doc["first_violation"]) == (
+            _counts_by_python_ints(a2, 1, (int(top), 0))
+        )
 
     e8 = root_system("E8")
     lam = (2**63 // e8.max_coroot_height + 1,) + (0,) * 7

@@ -7,9 +7,11 @@ used too, since re-exporting it is the point of the import.  The packed
 int64 keys of the exterior engine stay inside ``exterior.py``: no other
 module imports or reaches the names that read or write them.  Likewise the
 exact fallback of the pairing primitive is named only in ``weyl.py``, so no
-module forks the choice between the int64 and the Python-int pairing, and
-the scalar references ``pairing`` and ``degree_by_inversions``, which tests
-compare against, are named only there and in ``__init__``.  The
+module forks the choice between the int64 and the Python-int pairing; and
+the int64 bound ``2**63`` is written only in ``exterior.py`` and ``weyl.py``,
+so every other module leaves the int64-or-exact choice to their routines.
+The scalar references ``pairing`` and ``degree_by_inversions``, which tests
+compare against, are named only in ``weyl.py`` and ``__init__``.  The
 output format stays inside ``cli.py``: no other module names ``SCHEMA``,
 defines a ``to_json_dict`` or writes a ``"schema"`` key.  In ``cli.py`` only
 ``main`` resolves the shared inputs and builds the failure record, so no
@@ -105,6 +107,22 @@ def test_exact_pairings_stay_in_weyl(path):
         return
     named = _named(path, {"exact_pairings"})
     assert not named, f"{path.name} names exact_pairings; call weyl.pairings instead"
+
+
+def _is_two_to_63(node: ast.AST) -> bool:
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+            and isinstance(node.left, ast.Constant) and node.left.value == 2
+            and isinstance(node.right, ast.Constant) and node.right.value == 63)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_int64_bound_stays_in_exterior_and_weyl(path):
+    if path.name in ("exterior.py", "weyl.py"):
+        return
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = [node.lineno for node in ast.walk(tree) if _is_two_to_63(node)]
+    assert not found, (f"{path.name} writes 2**63 at lines {found}; "
+                       "call exterior.translate or weyl.pairings instead")
 
 
 #: Scalar references that tests compare the batched routines against.

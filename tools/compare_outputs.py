@@ -27,7 +27,7 @@ limits either form to the named families.
 
 The families: the ops of ``perfbench/pool.json`` (read from this checkout,
 never written), ``check-t1`` on eleven types with ``p`` on both sides of
-``N/2`` and lambdas at the int64 guards, ``e1``, ``phi`` on six types with
+``N/2`` and lambdas at the pairing guard and past int64, ``e1``, ``phi`` on six types with
 ``p`` just outside, at and next to each end of ``0..N`` and on both sides
 of ``N/2``, ``roots``, ``certify``, ``verify-all``, ``bwb``, ``parse``, the
 integer-parsing edge cases, ``cli``: ``coxeter``, ``thresholds`` and
