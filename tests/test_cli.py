@@ -309,6 +309,8 @@ def test_verify_all_json(capsys):
         ("phi", "A2", "-p", "9"),
         ("thresholds", "A2", "-p", "9"),
         ("certify", "A1"),
+        ("check-t1", "A2", "-p", "1", "--lambda", "-9223372036854775808,0"),
+        ("check-t1", "A2", "-p", "1", "--lambda", "9223372036854775808"),
         ("phi", "A63", "-p", "1"),
         ("check-t1", "A2", "-p", "x", "--lambda", "1,1"),
         ("check-t1", "A2", "-p", "1", "--lambda", "1,1", "--bogus"),
