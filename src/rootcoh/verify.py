@@ -349,47 +349,31 @@ def check_rho_top_degree() -> CriterionResult:
     return _result(8, "rho-top-degree", problems, detail, t0, 1.0)
 
 
-def weyl_group_elements(rs: RootSystem) -> list[tuple[tuple[int, ...], ...]]:
-    """All Weyl group elements as matrices on weight coordinates."""
-    n = rs.rank
-    rows = rs.simple_weight_rows
-    gens = []
-    for i in range(n):
-        m = tuple(
-            tuple((1 if a == b else 0) - (rows[i][a] if b == i else 0) for b in range(n))
-            for a in range(n)
-        )
-        gens.append(m)
+def weyl_group(rs: RootSystem) -> list[tuple[np.ndarray, int]]:
+    """Every Weyl group element as ``(matrix, length)``, the int64 matrix
+    acting on weight coordinates.
 
-    def mul(m1, m2):
-        return tuple(
-            tuple(sum(m1[a][k] * m2[k][b] for k in range(n)) for b in range(n))
-            for a in range(n)
-        )
-
-    identity = tuple(tuple(1 if a == b else 0 for b in range(n)) for a in range(n))
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
+    Breadth first from the identity over the simple reflections
+    ``eye - outer(simple_weight_rows[i], e_i)``: an element is first reached
+    at its distance from the identity in the Cayley graph, which is its
+    length, so each length is read off the level and computed once.
+    """
+    eye = np.eye(rs.rank, dtype=np.int64)
+    gens = [eye - np.outer(row, e) for row, e in zip(rs.simple_weight_rows, eye)]
+    seen = {eye.tobytes()}
+    group, level, length = [], [eye], 0
+    while level:
+        group += [(m, length) for m in level]
         nxt = []
-        for w in frontier:
+        for w in level:
             for g in gens:
-                wg = mul(g, w)
-                if wg not in seen:
-                    seen.add(wg)
-                    nxt.append(wg)
-        frontier = nxt
-    return sorted(seen)
-
-
-def _apply(m, v):
-    return tuple(sum(m[a][b] * v[b] for b in range(len(v))) for a in range(len(v)))
-
-
-def reflection_length(rs: RootSystem, m) -> int:
-    """Number of positive roots sent negative by the matrix m."""
-    negs = {tuple(-c for c in r.weight.coords) for r in rs.positive_roots}
-    return sum(1 for r in rs.positive_roots if _apply(m, r.weight.coords) in negs)
+                gw = g @ w
+                key = gw.tobytes()
+                if key not in seen:
+                    seen.add(key)
+                    nxt.append(gw)
+        level, length = nxt, length + 1
+    return group
 
 
 def check_bwb_oracle() -> CriterionResult:
@@ -397,39 +381,38 @@ def check_bwb_oracle() -> CriterionResult:
 
     Every weight of the box ``[-ORACLE_BOX, ORACLE_BOX]^rank`` goes through
     :func:`bwb`.  The oracle side is batched per type on int64 arrays: for
-    each of the ``|W|`` matrices ``m`` (one at a time, so no ``|W|``-wide
-    tensor is built) the rows ``x = lam + rho`` with ``m x`` strictly
-    dominant are counted and the image recorded; one :func:`pairings` matrix
-    gives the coroot scan and the inversion count.  Per weight, the oracle and
-    ``bwb`` must agree on singular versus regular, with exactly one regular
-    image, degree ``l(w)``, dominant part ``w(x) - 1``, and degree equal to
-    the inversion count.
+    each of the ``|W|`` matrices ``m`` of :func:`weyl_group` (one at a time,
+    so no ``|W|``-wide tensor is built) the rows ``x = lam + rho`` with
+    ``m x`` strictly dominant are counted, and the image and the length
+    ``l(w)`` that the search reached ``m`` at are recorded; one
+    :func:`pairings` matrix gives the coroot scan and the inversion count.
+    Per weight, the oracle and ``bwb`` must agree on singular versus regular,
+    with exactly one regular image, degree ``l(w)``, dominant part
+    ``w(x) - 1``, and degree equal to the inversion count.
     """
     t0 = time.perf_counter()
     problems = []
     total = 0
     for name in ORACLE_TYPES:
         rs = root_system(name)
-        group = weyl_group_elements(rs)
-        lengths = [reflection_length(rs, m) for m in group]
         lams = np.array(
             list(itertools.product(range(-ORACLE_BOX, ORACLE_BOX + 1), repeat=rs.rank)),
             dtype=np.int64,
         )
         x = lams + 1
         hits = np.zeros(len(x), dtype=np.int64)
-        which = np.zeros(len(x), dtype=np.intp)
+        l_w = np.zeros(len(x), dtype=np.int64)
         image = np.zeros_like(x)
-        for k, m in enumerate(np.array(group, dtype=np.int64)):
+        for m, length in weyl_group(rs):
             img = x @ m.T
             hit = (img > 0).all(axis=1)
             hits += hit
-            which[hit] = k
+            l_w[hit] = length
             image[hit] = img[hit]
         pair = pairings(rs, x)
         scan_singular = (pair == 0).any(axis=1).tolist()
         inversions = (pair < 0).sum(axis=1).tolist()
-        hits, which, image = hits.tolist(), which.tolist(), image.tolist()
+        hits, l_w, image = hits.tolist(), l_w.tolist(), image.tolist()
         for row, coords in enumerate(lams.tolist()):
             total += 1
             lam = Weight(tuple(coords))
@@ -442,9 +425,8 @@ def check_bwb_oracle() -> CriterionResult:
             elif got.is_singular:
                 problems.append(f"{name} {lam}: oracle regular, bwb singular")
             else:
-                length = lengths[which[row]]
-                if got.degree != length:
-                    problems.append(f"{name} {lam}: degree {got.degree} != l(w) {length}")
+                if got.degree != l_w[row]:
+                    problems.append(f"{name} {lam}: degree {got.degree} != l(w) {l_w[row]}")
                 if got.dominant != Weight(tuple(c - 1 for c in image[row])):
                     problems.append(f"{name} {lam}: dominant part mismatch")
                 if scan_singular[row] or got.degree != inversions[row]:

@@ -17,17 +17,17 @@ a new zero.
 One table, :attr:`~rootcoh.rootsys.RootSystem.coroot_chain`, feeds both
 pairing routines: each positive coroot is an earlier one plus a simple
 coroot, so each pairing is an earlier pairing plus one coordinate, one add
-per positive root.  :func:`exact_pairings` follows it in exact Python ints
-for one weight, and :func:`weyl_dim` multiplies what it returns.
-:func:`pairings` is the one batched primitive, exact for every integer
-input.  It pairs many weights with every positive coroot in int64, one
-vector add per positive root, while ``max|x|`` times the largest coroot
-height is below ``2**63``: every partial sum is itself the pairing with some
-positive coroot, so that one bound, checked before any add, covers every
-intermediate.  Past it each row goes through :func:`exact_pairings`.  From
-one pairing matrix a row is singular iff it holds a 0, and its degree is the
-number of negative entries (the inversion count).  As ``(x, alpha_k^v) =
-x_k``, a weight with a zero coordinate is singular before any pairing.
+per positive root.  :func:`pairings` is the one batched primitive, exact for
+every integer input.  It pairs many weights with every positive coroot, one
+vector add per positive root, in int64 while ``max|x|`` times the largest
+coroot height is below ``2**63`` and in Python ints past it: every partial
+sum is itself the pairing with some positive coroot, so that one bound,
+checked before any add, picks the dtype for every intermediate.
+:func:`exact_pairings` is the same walk in Python ints for one weight, and
+:func:`weyl_dim` multiplies what it returns.  From one pairing matrix a row
+is singular iff it holds a 0, and its degree is the number of negative
+entries (the inversion count).  As ``(x, alpha_k^v) = x_k``, a weight with a
+zero coordinate is singular before any pairing.
 """
 
 from __future__ import annotations
@@ -81,25 +81,24 @@ def pairings(rs: RootSystem, X) -> np.ndarray:
     """All pairings (x, gamma^v), the values of ``X @ C.T``, exact for any ints.
 
     Row i pairs row i of ``X`` with every positive coroot, in canonical root
-    order.  While ``max|X|`` times
+    order: column ``k`` is column ``j`` plus column ``i`` of ``X`` for each
+    step ``(k, j, i)`` of :attr:`~rootcoh.rootsys.RootSystem.coroot_chain`,
+    so each partial sum is a final entry.  While ``max|X|`` times
     :attr:`~rootcoh.rootsys.RootSystem.max_coroot_height` is below ``2**63``
-    (checked before any add) the result is int64: column ``k`` is column ``j``
-    plus column ``i`` of ``X`` for each step ``(k, j, i)`` of
-    :attr:`~rootcoh.rootsys.RootSystem.coroot_chain`, so each partial sum is
-    a final entry and none passes the bound.  Past it the result is an object
-    array whose rows are :func:`exact_pairings`.  Raises :class:`WeylError`
-    only on a wrong shape.
+    (checked before any add) no entry passes that bound and the result is
+    int64; past it the same adds run on an object array of Python ints.
+    Raises :class:`WeylError` only on a wrong shape.
     """
     A = np.asarray(X)
     # lists of ints mixing [2**63, 2**64) with others load as float64: keep them exact
     X = np.array(X, dtype=object) if A.dtype.kind == "f" else A
     if X.ndim != 2 or X.shape[1] != rs.rank:
         raise WeylError(f"pairings need rows of {rs.rank} coordinates, got shape {X.shape}")
-    if X.size and max(int(X.max()), -int(X.min())) * rs.max_coroot_height >= 2**63:
-        return np.array([exact_pairings(rs, row) for row in X.tolist()], dtype=object)
-    cols = list(np.ascontiguousarray(X.T, dtype=np.int64))
+    exact = X.size and max(int(X.max()), -int(X.min())) * rs.max_coroot_height >= 2**63
+    dtype = object if exact else np.int64
+    cols = list(np.ascontiguousarray(X.T, dtype=dtype))
     # one spare zero row: a simple coroot's step reads its j = -1 there
-    out = np.empty((rs.num_positive_roots + 1, X.shape[0]), dtype=np.int64)
+    out = np.empty((rs.num_positive_roots + 1, X.shape[0]), dtype=dtype)
     out[-1] = 0
     rows = list(out)  # row views made once, not once per step
     for k, j, i in rs.coroot_chain:
@@ -108,8 +107,9 @@ def pairings(rs: RootSystem, X) -> np.ndarray:
 
 
 def exact_pairings(rs: RootSystem, x: Sequence[int]) -> list[int]:
-    """The pairings ``(x, gamma^v)`` with every positive coroot, in canonical
-    root order, as exact Python ints for any size of ``x``.
+    """The pairings ``(x, gamma^v)`` of one weight with every positive
+    coroot, in canonical root order, as exact Python ints for any size of
+    ``x``: the scalar walk of :func:`weyl_dim`.
 
     Follows :attr:`~rootcoh.rootsys.RootSystem.coroot_chain`: each pairing is
     an earlier one plus one coordinate of ``x``, one add per positive root.

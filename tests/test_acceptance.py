@@ -3,7 +3,10 @@
 import dataclasses
 import re
 import shutil
+from collections import Counter
+from math import prod
 
+import numpy as np
 import pytest
 
 from rootcoh import exterior, verify
@@ -51,23 +54,35 @@ def test_criterion(results, number):
     assert res.ok, res.detail
 
 
+#: (target, corruption of bwb's outcome there, detail criterion 9 must give).
+#: bwb(B3, (-6,-6,-6)) is degree 9 with dominant part (4,4,4), and
+#: (-1,0,0) + rho = (0,1,1) is singular.
+CRITERION9_CORRUPTIONS = [
+    (
+        Weight.of(-6, -6, -6),
+        lambda out: dataclasses.replace(out, degree=out.degree + 1),
+        "degree 10 != l(w) 9",
+    ),
+    (Weight.of(-6, -6, -6), lambda out: BwbOutcome(), "oracle regular, bwb singular"),
+    (
+        Weight.of(-6, -6, -6),
+        lambda out: dataclasses.replace(out, dominant=Weight.of(4, 4, 5)),
+        "dominant part mismatch",
+    ),
+    (
+        Weight.of(-1, 0, 0),
+        lambda out: BwbOutcome(0, Weight.of(0, 0, 0)),
+        "oracle singular, bwb concentrated",
+    ),
+]
+
+
 @pytest.mark.parametrize(
-    "corrupt, message",
-    [
-        (
-            lambda out: dataclasses.replace(out, degree=out.degree + 1),
-            "degree 10 != l(w) 9",
-        ),
-        (lambda out: BwbOutcome(), "oracle regular, bwb singular"),
-        (
-            lambda out: dataclasses.replace(out, dominant=Weight.of(4, 4, 5)),
-            "dominant part mismatch",
-        ),
-    ],
+    "target, corrupt, message",
+    CRITERION9_CORRUPTIONS,
+    ids=[f"<lambda>-{message}" for _, _, message in CRITERION9_CORRUPTIONS],
 )
-def test_criterion9_catches_a_corrupted_outcome(monkeypatch, corrupt, message):
-    # bwb(B3, (-6,-6,-6)) is degree 9 with dominant part (4,4,4)
-    target = Weight.of(-6, -6, -6)
+def test_criterion9_catches_a_corrupted_outcome(monkeypatch, target, corrupt, message):
     honest = verify.bwb
 
     def corrupted(rs, lam, *args):
@@ -78,6 +93,34 @@ def test_criterion9_catches_a_corrupted_outcome(monkeypatch, corrupt, message):
     res = check_bwb_oracle()
     assert not res.ok
     assert res.detail.startswith(f"B3 {target}: {message}")
+
+
+#: The degrees d_i of W (Humphreys, Reflection Groups and Coxeter Groups,
+#: section 3.15); |W| is their product and the Poincare polynomial
+#: sum_w t^l(w) is prod_i (1 + t + ... + t^(d_i - 1)).
+WEYL_DEGREES = {
+    "A1": (2,), "A2": (2, 3), "A3": (2, 3, 4),
+    "B2": (2, 4), "C2": (2, 4), "B3": (2, 4, 6), "C3": (2, 4, 6),
+    "G2": (2, 6), "D4": (2, 4, 4, 6), "B4": (2, 4, 6, 8), "F4": (2, 6, 8, 12),
+}
+
+
+@pytest.mark.parametrize("name", [*verify.ORACLE_TYPES, "D4", "B4", "F4"])
+def test_weyl_group_lengths_give_the_poincare_polynomial(name):
+    rs = root_system(name)
+    group = verify.weyl_group(rs)
+    poincare = [1]
+    for d in WEYL_DEGREES[name]:
+        poincare = [
+            sum(poincare[max(0, k - d + 1):k + 1]) for k in range(len(poincare) + d - 1)
+        ]
+    assert len({m.tobytes() for m, _ in group}) == len(group) == prod(WEYL_DEGREES[name])
+    by_length = Counter(length for _, length in group)
+    assert [by_length[k] for k in range(max(by_length) + 1)] == poincare
+    rho = np.array(rs.rho.coords)
+    longest = [m for m, length in group if length == rs.num_positive_roots]
+    assert len(longest) == 1
+    assert (longest[0] @ rho).tolist() == (-rho).tolist()
 
 
 def _shift_first_row(rows, counts):

@@ -5,11 +5,12 @@ A top-level import counts as used when the module names it anywhere (in
 code or in an annotation); in ``__init__`` a name listed in ``__all__`` is
 used too, since re-exporting it is the point of the import.  The packed
 int64 keys of the exterior engine stay inside ``exterior.py``: no other
-module imports or reaches the names that read or write them.  Likewise the
-exact fallback of the pairing primitive is named only in ``weyl.py``, so no
-module forks the choice between the int64 and the Python-int pairing; and
-the int64 bound ``2**63`` is written only in ``exterior.py`` and ``weyl.py``,
-so every other module leaves the int64-or-exact choice to their routines.
+module imports or reaches the names that read or write them.  Likewise
+``exact_pairings``, the scalar walk of ``weyl_dim``, is named only in
+``weyl.py``, so every other module pairs through ``weyl.pairings``, which
+alone picks between int64 and Python ints; and the int64 bound ``2**63`` is
+written only in ``exterior.py`` and ``weyl.py``, so every other module
+leaves the int64-or-exact choice to their routines.
 The scalar references ``pairing`` and ``degree_by_inversions``, which tests
 compare against, are named only in ``weyl.py`` and ``__init__``.  The
 output format stays inside ``cli.py``: no other module names ``SCHEMA``,

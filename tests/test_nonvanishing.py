@@ -1,6 +1,5 @@
 """Witness weights, weight classification, certificates, and degree pages."""
 
-import json
 import random
 import re
 from collections import Counter
@@ -13,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from rootcoh import (
     build_certificate,
     check_theorem1,
-    cli,
     classify_lemma11,
     e1_page,
     nonvanishing,
@@ -30,12 +28,6 @@ from rootcoh.nonvanishing import (
 )
 from rootcoh.rootsys import Weight, all_simple_types
 from rootcoh.weyl import BwbOutcome, WeylError, bwb, pairings
-
-
-def _cli_json(capsys, *argv):
-    """The document that ``rootcoh ARGV --format json`` prints."""
-    cli.main([*argv, "--format", "json"])
-    return json.loads(capsys.readouterr().out)
 
 
 def test_witness_weight_examples():
@@ -100,21 +92,21 @@ def test_classify_g2_extras():
     assert top[0].source.root_coords == (2, 3)
 
 
-def test_certificate_a2(capsys):
+def test_certificate_a2(cli_json):
     cert = build_certificate(root_system("A2"))
     assert cert.valid
     assert cert.lam == Weight.of(1, 1)
     assert cert.degree_totals == {0: 1, 1: 2}
-    conclusion = _cli_json(capsys, "certify", "A2")["conclusion"]
+    conclusion = cli_json("certify", "A2")["conclusion"]
     assert "H^{2,1}" in conclusion
     assert "Bott vanishing fails" in conclusion
 
 
-def test_certificate_b2(capsys):
+def test_certificate_b2(cli_json):
     cert = build_certificate(root_system("B2"))
     assert cert.valid
     assert cert.d == 4
-    assert "H^{3,1}" in _cli_json(capsys, "certify", "B2")["conclusion"]
+    assert "H^{3,1}" in cli_json("certify", "B2")["conclusion"]
 
 
 def test_certificate_e8():
@@ -214,8 +206,8 @@ def test_certificate_totals_are_the_e1_page_one_below_the_top():
         assert cert.degree_totals == page.buckets, t
 
 
-def test_certificate_json_round_trip(capsys):
-    doc = _cli_json(capsys, "certify", "B3")
+def test_certificate_json_round_trip(cli_json):
+    doc = cli_json("certify", "B3")
     weights = doc.pop("weights")
     assert doc == {
         "schema": "rootcoh/1",

@@ -1,7 +1,6 @@
 """Hypothesis checks, the Prop-2 thresholds, and the p-free corollary bounds."""
 
 import functools
-import json
 import math
 from collections import Counter
 
@@ -10,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from rootcoh import (
     check_theorem1,
-    cli,
     corollary_bound,
     prop2_threshold,
     root_system,
@@ -23,12 +21,6 @@ from rootcoh.rootsys import Weight, all_simple_types
 from rootcoh.vanishing import VanishingError
 from rootcoh.verify import BRUTE_TYPES
 from rootcoh.weyl import pairing, pairings
-
-
-def _cli_json(capsys, *argv):
-    """The document that ``rootcoh ARGV --format json`` prints."""
-    cli.main([*argv, "--format", "json"])
-    return json.loads(capsys.readouterr().out)
 
 
 def witness_map(report):
@@ -62,7 +54,7 @@ def test_g2_degree_three_example_passes():
     assert check_theorem1(g2, 3, Weight.of(3, 5)).passed
 
 
-def test_blocked_pairing_matches_one_block(monkeypatch, capsys):
+def test_blocked_pairing_matches_one_block(monkeypatch, cli_json):
     # pass and fail cases, paired in 7-row blocks and in the default blocks;
     # the last six have p > N/2, read off the complement of layer N - p
     cases = [("A2", 1, (0, 0)), ("G2", 3, (3, 5)), ("B3", 4, (1, 0, 2)),
@@ -72,8 +64,8 @@ def test_blocked_pairing_matches_one_block(monkeypatch, capsys):
 
     def report(name, p, lam):
         rep = check_theorem1(root_system(name), p, Weight(lam))
-        doc = _cli_json(capsys, "check-t1", name, "-p", str(p),
-                        "--lambda", ",".join(map(str, lam)), "--witnesses")
+        doc = cli_json("check-t1", name, "-p", str(p),
+                       "--lambda", ",".join(map(str, lam)), "--witnesses")
         return doc, rep._idx.tolist(), rep._violation.tolist()
 
     default = [report(*case) for case in cases]
@@ -308,8 +300,8 @@ def test_corollary_bounds():
         corollary_bound(g2, "both")
 
 
-def test_report_json_round_trip(capsys):
-    doc = _cli_json(capsys, "check-t1", "A2", "-p", "1", "--lambda", "1,1", "--witnesses")
+def test_report_json_round_trip(cli_json):
+    doc = cli_json("check-t1", "A2", "-p", "1", "--lambda", "1,1", "--witnesses")
     assert doc == {
         "schema": "rootcoh/1",
         "kind": "vanishing_report",

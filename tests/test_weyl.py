@@ -2,7 +2,6 @@
 
 import dataclasses
 import itertools
-import json
 import random
 from math import prod
 from operator import mul
@@ -11,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rootcoh import bwb, cli, pairing, pairings, root_system, weyl_dim
+from rootcoh import bwb, pairing, pairings, root_system, weyl_dim
 from rootcoh.rootsys import (
     SimpleType,
     Weight,
@@ -19,12 +18,6 @@ from rootcoh.rootsys import (
     build_root_system,
 )
 from rootcoh.weyl import BwbOutcome, WeylError, degree_by_inversions
-
-
-def _cli_json(capsys, *argv):
-    """The document that ``rootcoh ARGV --format json`` prints."""
-    cli.main([*argv, "--format", "json"])
-    return json.loads(capsys.readouterr().out)
 
 
 def test_pairing_rho_against_simple_coroots():
@@ -322,9 +315,9 @@ def test_weyl_dim_e6_reversal():
     assert weyl_dim(e6, lam) == weyl_dim(e6, flipped)
 
 
-def test_outcome_json_round_trip(capsys):
+def test_outcome_json_round_trip(cli_json):
     lams = ([2, 3], [-4, 1], [-1, -1])
-    docs = [_cli_json(capsys, "bwb", "B2", "--lambda", f"{a},{b}") for a, b in lams]
+    docs = [cli_json("bwb", "B2", "--lambda", f"{a},{b}") for a, b in lams]
     for doc, lam in zip(docs, lams):
         assert [doc.pop(k) for k in ("schema", "type", "lambda")] == ["rootcoh/1", "B2", lam]
     assert docs == [
