@@ -512,7 +512,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.needs_p and args.p is None:
             raise UsageError(f"-p is required for {args.command}")
         lam = _parse_lambda(rs, args.lam) if "lam" in args else None
-        failure = args.handler(args, rs, lam)
+        # the parser keeps the limit on digits; an exact answer may pass it
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            failure = args.handler(args, rs, lam)
+        finally:
+            sys.set_int_max_str_digits(limit)
     except SystemExit as exc:  # from parse_args: -h and --version
         return USAGE_ERROR if exc.code not in (0, None) else 0
     except (

@@ -19,13 +19,13 @@ and is not re-derived.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .exterior import lambda_p_weights
 from .rootsys import Root, RootSystem, Weight
-from .weyl import BwbOutcome, bwb, pairings, weyl_dim
+from .weyl import BwbOutcome, bwb, pairings, weyl_dims
 
 
 class CertificateError(ValueError):
@@ -156,6 +156,26 @@ def _check_filtration_order(records: tuple[ClassifiedWeight, ...]) -> None:
         raise CertificateError(f"ordering violated between positions {s} and {t}")
 
 
+def _degree_totals(rs: RootSystem, pairs: Iterable[tuple[BwbOutcome, int]]) -> dict[int, int]:
+    """Dimension totals by degree of ``(outcome, multiplicity)`` pairs, sorted
+    by degree, with a key only for a degree that occurs.
+
+    The regular outcomes make an isotypic page, ``(degree, dominant
+    coordinates) -> multiplicity``; one :func:`weyl_dims` call sizes every
+    key of it once, and each key adds its dimension times its multiplicity
+    to its degree's total: one dimension per key, not one per weight.
+    """
+    page: dict[tuple[int, tuple[int, ...]], int] = {}
+    for outcome, mult in pairs:
+        if not outcome.is_singular:
+            key = (outcome.degree, outcome.dominant.coords)
+            page[key] = page.get(key, 0) + mult
+    totals: dict[int, int] = {}
+    for ((q, _), mult), dim in zip(page.items(), weyl_dims(rs, [nu for _, nu in page])):
+        totals[q] = totals.get(q, 0) + dim * mult
+    return dict(sorted(totals.items()))
+
+
 def build_certificate(rs: RootSystem) -> NonvanishingCertificate:
     """Construct and validate the full nonvanishing certificate for one type.
 
@@ -180,11 +200,7 @@ def build_certificate(rs: RootSystem) -> NonvanishingCertificate:
                 f"[{', '.join(f'({q}, {dom})' for q, dom in got)}], "
                 f"not [(1, {zero}), (1, {zero}), (0, {zero})]"
             )
-        totals: dict[int, int] = {}
-        for r in records:
-            if not r.outcome.is_singular:
-                q = r.outcome.degree
-                totals[q] = totals.get(q, 0) + weyl_dim(rs, r.outcome.dominant)
+        totals = _degree_totals(rs, ((r.outcome, 1) for r in records))
         if any(q not in (0, 1) for q in totals):
             raise CertificateError("a weight regularizes outside degrees 0 and 1")
         if totals.get(1, 0) <= totals.get(0, 0):
@@ -200,7 +216,7 @@ def build_certificate(rs: RootSystem) -> NonvanishingCertificate:
         lam=lam,
         beta_indices=_beta_indices(rs),
         records=records,
-        degree_totals=dict(sorted(totals.items())),
+        degree_totals=totals,
         valid=failure is None,
         failure=failure,
     )
@@ -224,33 +240,20 @@ def e1_page(rs: RootSystem, p: int, lam: Weight) -> E1Page:
     The weights and their multiplicities come from :func:`lambda_p_weights
     <rootcoh.exterior.lambda_p_weights>` as coordinate tuples and ints,
     exact for any size of lam; each distinct weight goes through :func:`bwb`
-    once, as its tuple.  The regular ones make an isotypic page, ``(degree,
-    dominant coordinates) -> multiplicity``, and each key of it adds
-    :func:`weyl_dim` of its dominant part times its multiplicity to its
-    degree's bucket: one dimension per key, not one per weight.  When at
-    most one bucket is nonzero the filtration leaves no room for
+    once, as its tuple, and :func:`_degree_totals` sizes the regular ones by
+    degree.  When at most one degree occurs the filtration leaves no room for
     cancellation, so the buckets are the exact cohomology dimensions.  A lam
     of the wrong length, or ``p`` outside ``[0, N]``, raises
     :class:`ExteriorError <rootcoh.exterior.ExteriorError>`.
     """
     weights, mults = lambda_p_weights(rs, p, lam)
-    page: dict[tuple[int, tuple[int, ...]], int] = {}
-    for coords, mult in zip(weights, mults):
-        outcome = bwb(rs, coords)
-        if outcome.is_singular:
-            continue
-        key = (outcome.degree, outcome.dominant.coords)
-        page[key] = page.get(key, 0) + mult
-    buckets: dict[int, int] = {}
-    for (q, nu), mult in page.items():
-        buckets[q] = buckets.get(q, 0) + weyl_dim(rs, Weight(nu)) * mult
+    buckets = _degree_totals(rs, ((bwb(rs, w), m) for w, m in zip(weights, mults)))
     euler = sum((-1) ** q * v for q, v in buckets.items())
-    nonzero = sum(1 for v in buckets.values() if v)
     return E1Page(
         type=str(rs.simple_type),
         p=p,
         lam=lam,
-        buckets=dict(sorted(buckets.items())),
+        buckets=buckets,
         euler=euler,
-        concentrated=nonzero <= 1,
+        concentrated=len(buckets) <= 1,
     )

@@ -26,7 +26,7 @@ from .rootsys import (
     root_system,
 )
 from .vanishing import check_theorem1, corollary_bound, prop2_threshold
-from .weyl import bwb, pairings, weyl_dim
+from .weyl import bwb, pairings
 
 #: Types whose every degree p is checked against the full weight multiset of
 #: Lambda^p n- in criteria 4 and 5 (largest: F4, |Phi+| = 24).
@@ -309,8 +309,7 @@ def check_certificates() -> CriterionResult:
     if exc_weights != want:
         problems.append(f"A2 exceptional set {exc_weights} != {want}")
     degs = [r.outcome.degree for r in a2.exceptional]
-    dims = {weyl_dim(a2_rs, r.outcome.dominant) for r in a2.exceptional}
-    if degs != [1, 1, 0] or dims != {1}:
+    if degs != [1, 1, 0] or a2.degree_totals != {0: 1, 1: 2}:
         problems.append(f"A2 pattern wrong: degrees {degs}")
     if worst > 1.0:
         problems.append(f"slowest certificate took {worst:.2f}s (limit 1s)")

@@ -7,27 +7,24 @@ weight is singular and all cohomology of the line bundle vanishes) or
 applies simple reflections at negative coordinates until ``x`` is strictly
 dominant.  The number of reflections applied is the unique cohomology
 degree in which the line bundle has sections, and ``x - rho`` is the
-highest weight of that representation; its dimension, :func:`weyl_dim` of
+highest weight of that representation; its dimension, :func:`weyl_dims` of
 that weight, is left to the caller.  A simple reflection negates one
 coordinate and moves only its Dynkin neighbours
 (:attr:`~rootcoh.rootsys.RootSystem.reflection_table`), so each step is a
 sparse update in Python ints and only the moved coordinates are checked for
 a new zero.
 
-One table, :attr:`~rootcoh.rootsys.RootSystem.coroot_chain`, feeds both
-pairing routines: each positive coroot is an earlier one plus a simple
-coroot, so each pairing is an earlier pairing plus one coordinate, one add
-per positive root.  :func:`pairings` is the one batched primitive, exact for
-every integer input.  It pairs many weights with every positive coroot, one
-vector add per positive root, in int64 while ``max|x|`` times the largest
-coroot height is below ``2**63`` and in Python ints past it: every partial
-sum is itself the pairing with some positive coroot, so that one bound,
-checked before any add, picks the dtype for every intermediate.
-:func:`exact_pairings` is the same walk in Python ints for one weight, and
-:func:`weyl_dim` multiplies what it returns.  From one pairing matrix a row
-is singular iff it holds a 0, and its degree is the number of negative
-entries (the inversion count).  As ``(x, alpha_k^v) = x_k``, a weight with a
-zero coordinate is singular before any pairing.
+One table, :attr:`~rootcoh.rootsys.RootSystem.coroot_chain`, feeds
+:func:`pairings`, the one pairing primitive: each positive coroot is an
+earlier one plus a simple coroot, so many weights pair with every positive
+coroot in one vector add per positive root, in int64 while ``max|x|`` times
+the largest coroot height is below ``2**63`` and in Python ints past it
+(every partial sum is itself a pairing, so that one bound picks the dtype of
+every intermediate).  A row of one pairing matrix is singular iff it holds a
+0, and its degree is its number of negative entries; at ``x = nu + rho``
+with ``nu`` dominant, :func:`weyl_dims` divides its exact product by
+``rho_denominator``.  As ``(x, alpha_k^v) = x_k``, a weight with a zero
+coordinate is singular before any pairing.
 """
 
 from __future__ import annotations
@@ -106,42 +103,41 @@ def pairings(rs: RootSystem, X) -> np.ndarray:
     return out[:-1].T
 
 
-def exact_pairings(rs: RootSystem, x: Sequence[int]) -> list[int]:
-    """The pairings ``(x, gamma^v)`` of one weight with every positive
-    coroot, in canonical root order, as exact Python ints for any size of
-    ``x``: the scalar walk of :func:`weyl_dim`.
+def weyl_dims(rs: RootSystem, weights: Sequence[Weight | Sequence[int]]) -> list[int]:
+    """Dimensions of the irreducible representations with highest weights
+    ``weights``, each a :class:`~rootcoh.rootsys.Weight` or any integer
+    sequence.
 
-    Follows :attr:`~rootcoh.rootsys.RootSystem.coroot_chain`: each pairing is
-    an earlier one plus one coordinate of ``x``, one add per positive root.
-    """
-    # one spare zero at the end: a simple coroot's step reads its j = -1 there
-    v = [0] * (rs.num_positive_roots + 1)
-    for k, j, i in rs.coroot_chain:
-        v[k] = v[j] + x[i]
-    v.pop()
-    return v
-
-
-def weyl_dim(rs: RootSystem, lam: Weight) -> int:
-    """Dimension of the irreducible representation with highest weight lam.
-
-    The exact Python-int product over positive roots of
-    ``(lam + rho, gamma^v)`` (:func:`exact_pairings`), divided by
+    One :func:`pairings` matrix of the ``nu + rho`` gives each row's
+    ``(nu + rho, gamma^v)``; its exact Python-int product is divided by
     ``prod (rho, gamma^v)`` (:attr:`~rootcoh.rootsys.RootSystem.rho_denominator`).
-    Raises :class:`WeylError` on a wrong length, on a weight that is not
-    dominant, and if the quotient is not integral (the normalisation of each
-    coroot cancels factor by factor, so it always is).
+    An empty list gives ``[]`` with no pairing.  Raises :class:`WeylError` on
+    a wrong length, on a weight that is not dominant, and if a quotient is
+    not integral (the normalisation of each coroot cancels factor by factor,
+    so it always is).
     """
-    if len(lam.coords) != rs.rank:
-        raise WeylError(f"weight has {len(lam.coords)} coordinates, expected {rs.rank}")
-    if not lam.is_dominant:
-        raise WeylError(f"weyl_dim needs a dominant weight, got {lam}")
-    num = prod(exact_pairings(rs, [c + 1 for c in lam.coords]))
+    lams = [Weight(tuple(lam)) for lam in weights]
+    for lam in lams:
+        if len(lam) != rs.rank:
+            raise WeylError(f"weight has {len(lam)} coordinates, expected {rs.rank}")
+        if not lam.is_dominant:
+            raise WeylError(f"weyl_dim needs a dominant weight, got {lam}")
+    if not lams:
+        return []
     den = rs.rho_denominator
-    q, rem = divmod(num, den)
-    if rem:
-        raise WeylError(f"dimension product for {lam} is not divisible by {den}")
-    return q
+    dims = []
+    for lam, row in zip(lams, pairings(rs, [[c + 1 for c in lam] for lam in lams]).tolist()):
+        q, rem = divmod(prod(row), den)
+        if rem:
+            raise WeylError(f"dimension product for {lam} is not divisible by {den}")
+        dims.append(q)
+    return dims
+
+
+def weyl_dim(rs: RootSystem, lam: Weight | Sequence[int]) -> int:
+    """Dimension of the irreducible representation with highest weight lam:
+    ``weyl_dims(rs, [lam])[0]``, with its checks."""
+    return weyl_dims(rs, [lam])[0]
 
 
 def bwb(rs: RootSystem, lam: Weight | Sequence[int]) -> BwbOutcome:

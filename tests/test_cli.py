@@ -6,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -285,6 +286,37 @@ def test_e1_is_exact_past_int64(capsys, lam, lines):
     assert code == 0 and err == ""
     for line in lines:
         assert f"  {line}\n" in out
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [("e1", "A2", "-p", "0", "--lambda", f"{'9' * 2200},{'9' * 2200}"),
+     ("bwb", "A2", "--lambda", f"{'9' * 4000},0")],
+    ids=["e1", "bwb"],
+)
+def test_answers_past_the_digit_limit_are_printed_exactly(capsys, argv, fmt):
+    # the parser refuses inputs past the interpreter's limit on digits, but a
+    # dimension of admitted inputs may be longer, and is printed in full
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    rs = root_system("A2")
+    x = [int(c) + 1 for c in argv[-1].split(",")]
+    dim = prod(pairing(rs, x, r) for r in rs.positive_roots) // rs.rho_denominator
+    sys.set_int_max_str_digits(0)
+    try:
+        want = str(dim)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(want) > limit
+    if fmt == "table":
+        assert (f"  degree 0: {want}\n" if argv[0] == "e1" else f", dim {want}\n") in out
+    elif argv[0] == "e1":
+        assert json.loads(out)["buckets"] == {"0": want}
+    else:
+        assert json.loads(out)["dim"] == want
 
 
 def test_missing_subcommand_is_usage_error(capsys):

@@ -6,9 +6,9 @@ code or in an annotation); in ``__init__`` a name listed in ``__all__`` is
 used too, since re-exporting it is the point of the import.  The packed
 int64 keys of the exterior engine stay inside ``exterior.py``: no other
 module imports or reaches the names that read or write them.  Likewise
-``exact_pairings``, the scalar walk of ``weyl_dim``, is named only in
-``weyl.py``, so every other module pairs through ``weyl.pairings``, which
-alone picks between int64 and Python ints; and the int64 bound ``2**63`` is
+``rho_denominator``, the divisor of the Weyl product, is named only in
+``rootsys.py``, which defines it, and ``weyl.py``, so every dimension comes
+from ``weyl.weyl_dims``; and the int64 bound ``2**63`` is
 written only in ``exterior.py`` and ``weyl.py``, so every other module
 leaves the int64-or-exact choice to their routines.
 The scalar references ``pairing`` and ``degree_by_inversions``, which tests
@@ -103,11 +103,11 @@ def _named(path: Path, names: set[str]) -> set[str]:
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
-def test_exact_pairings_stay_in_weyl(path):
-    if path.name == "weyl.py":
+def test_weyl_product_stays_in_weyl(path):
+    if path.name in ("rootsys.py", "weyl.py"):
         return
-    named = _named(path, {"exact_pairings"})
-    assert not named, f"{path.name} names exact_pairings; call weyl.pairings instead"
+    named = _named(path, {"rho_denominator"})
+    assert not named, f"{path.name} names rho_denominator; call weyl.weyl_dims instead"
 
 
 def _is_two_to_63(node: ast.AST) -> bool:

@@ -335,25 +335,25 @@ COUNTED_PAGES = [
 
 def test_e1_page_regularizes_each_weight_once_and_sizes_each_key_once(monkeypatch):
     regularized, sized, inside_bwb = [], [], []
-    real_bwb, real_dim = weyl.bwb, weyl.weyl_dim
+    real_bwb, real_dims = weyl.bwb, weyl.weyl_dims
 
     def counting_bwb(rs, lam):
         out = real_bwb(rs, lam)
         regularized.append((tuple(lam), out))
         return out
 
-    def counting_dim(rs, lam):
-        sized.append(lam.coords)
-        return real_dim(rs, lam)
+    def counting_dims(rs, weights):
+        sized.append([tuple(nu) for nu in weights])
+        return real_dims(rs, weights)
 
-    def dim_from_weyl(rs, lam):
-        inside_bwb.append(lam.coords)
-        return real_dim(rs, lam)
+    def dims_from_weyl(rs, weights):
+        inside_bwb.append(weights)
+        return real_dims(rs, weights)
 
     monkeypatch.setattr(nonvanishing, "bwb", counting_bwb)
-    monkeypatch.setattr(nonvanishing, "weyl_dim", counting_dim)
-    # bwb reaches weyl_dim, if at all, through its own module
-    monkeypatch.setattr(weyl, "weyl_dim", dim_from_weyl)
+    monkeypatch.setattr(nonvanishing, "weyl_dims", counting_dims)
+    # bwb reaches weyl_dim or weyl_dims, if at all, through its own module
+    monkeypatch.setattr(weyl, "weyl_dims", dims_from_weyl)
     repeats = 0
     for name, p, coords in COUNTED_PAGES:
         rs = root_system(name)
@@ -365,12 +365,21 @@ def test_e1_page_regularizes_each_weight_once_and_sizes_each_key_once(monkeypatc
         assert sorted(w for w, _ in regularized) == sorted(weights)
         keys = {(out.degree, out.dominant.coords) for _, out in regularized
                 if not out.is_singular}
-        # one weyl_dim call per distinct (degree, dominant) key
-        assert Counter(sized) == Counter(nu for _, nu in keys)
+        # one weyl_dims call per page, holding each distinct (degree,
+        # dominant) key once
+        assert len(sized) == 1
+        assert Counter(sized[0]) == Counter(nu for _, nu in keys)
         regular = sum(not out.is_singular for _, out in regularized)
         repeats += regular - len(keys)
     assert inside_bwb == []
     assert repeats > 0
+    # the certificate sizes its regular records with one call too
+    sized.clear()
+    cert = build_certificate(root_system("G2"))
+    keys = {(r.outcome.degree, r.outcome.dominant.coords) for r in cert.exceptional}
+    assert len(sized) == 1
+    assert Counter(sized[0]) == Counter(nu for _, nu in keys)
+    assert len(keys) < len(cert.exceptional)
 
 
 @settings(max_examples=200, deadline=None)
@@ -378,7 +387,7 @@ def test_e1_page_regularizes_each_weight_once_and_sizes_each_key_once(monkeypatc
 def test_e1_page_equals_the_per_weight_sum(data):
     # the isotypic page against the per-weight definition: sum over the
     # regular weights of mult * weyl_dim(bwb(w).dominant), by degree; and
-    # bwb takes a Weight, a tuple or a list alike
+    # bwb and weyl_dim take a Weight, a tuple or a list alike
     rs = root_system(data.draw(st.sampled_from(all_simple_types(3))))
     p = data.draw(st.integers(0, rs.num_positive_roots))
     coords = data.draw(st.tuples(*[st.integers(-4, 6) for _ in range(rs.rank)]))
@@ -388,15 +397,18 @@ def test_e1_page_equals_the_per_weight_sum(data):
         assert bwb(rs, w) == bwb(rs, list(w)) == out
         if not out.is_singular:
             dim = weyl_dim(rs, out.dominant)
+            nu = out.dominant.coords
+            assert weyl_dim(rs, nu) == weyl_dim(rs, list(nu)) == dim
             expected[out.degree] = expected.get(out.degree, 0) + dim * mult
     page = e1_page(rs, p, Weight(coords))
     assert list(page.buckets.items()) == sorted(expected.items())
     wrong = coords + (0,) if data.draw(st.booleans()) else coords[:-1]
     messages = set()
     for lam in (Weight(wrong), wrong, list(wrong)):
-        with pytest.raises(WeylError) as err:
-            bwb(rs, lam)
-        messages.add(str(err.value))
+        for routine in (bwb, weyl_dim):
+            with pytest.raises(WeylError) as err:
+                routine(rs, lam)
+            messages.add(str(err.value))
     assert messages == {f"weight has {len(wrong)} coordinates, expected {rs.rank}"}
 
 

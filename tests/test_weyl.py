@@ -10,14 +10,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rootcoh import bwb, pairing, pairings, root_system, weyl_dim
+from rootcoh import bwb, pairing, pairings, root_system, weyl, weyl_dim
 from rootcoh.rootsys import (
     SimpleType,
     Weight,
     all_simple_types,
     build_root_system,
 )
-from rootcoh.weyl import BwbOutcome, WeylError, degree_by_inversions
+from rootcoh.weyl import BwbOutcome, WeylError, degree_by_inversions, weyl_dims
 
 
 def test_pairing_rho_against_simple_coroots():
@@ -223,12 +223,35 @@ def test_weyl_dim_matches_the_dense_product():
     ranges = ((0, 6), (0, 2**64), (2**63, 2**63 + 9))
     for t in SWEPT:
         rs = root_system(t)
-        for lo, hi in ranges * 4:
-            lam = Weight(tuple(rng.randint(lo, hi) for _ in range(rs.rank)))
+        lams = [Weight(tuple(rng.randint(lo, hi) for _ in range(rs.rank)))
+                for lo, hi in ranges * 4]
+        lams.append(Weight((2**70,) + (0,) * (rs.rank - 1)))
+        want = []
+        for lam in lams:
             xp = [c + 1 for c in lam.coords]
             num = prod(sum(map(mul, row, xp)) for row in rs.coroot_rows)
-            assert weyl_dim(rs, lam) == num // rs.rho_denominator
             assert num % rs.rho_denominator == 0
+            want.append(num // rs.rho_denominator)
+        # one batch past int64, and each weight alone: small ones pair in int64
+        assert weyl_dims(rs, lams) == want
+        assert [weyl_dim(rs, lam) for lam in lams] == want
+        assert weyl_dims(rs, []) == []
+
+
+def test_weyl_dims_check_every_weight(monkeypatch):
+    a2 = root_system("A2")
+    with pytest.raises(WeylError, match=r"^weight has 3 coordinates, expected 2$"):
+        weyl_dims(a2, [(1, 1), (1, 1, 1)])
+    with pytest.raises(WeylError, match=r"^weyl_dim needs a dominant weight, got \(0,-1\)$"):
+        weyl_dims(a2, [[2, 0], [0, -1]])
+    # the quotient by prod (rho, gamma^v) is checked, not truncated
+    skewed = dataclasses.replace(a2)
+    vars(skewed)["rho_denominator"] = a2.rho_denominator + 1
+    with pytest.raises(WeylError, match=r"^dimension product for \(0,0\) is not divisible by 3$"):
+        weyl_dims(skewed, [(0, 0)])
+    # an empty batch pairs nothing
+    monkeypatch.setattr(weyl, "pairings", None)
+    assert weyl_dims(a2, []) == []
 
 
 def test_bwb_degree_matches_inversion_count():
