@@ -27,10 +27,9 @@ knows about the complement.  The readers:
   sums of positive roots their negatives in reverse order.
 - :func:`lambda_p_weights` returns the rows of :func:`phi_sums` translated
   by lam as Python-int tuples, and the multiplicities as Python ints.
-- :func:`rows_below` returns ``(indices, rows, size)``: only the rows with
-  some coordinate below a floor, found on the packed fields, with their
-  indices in :func:`phi_sums` order and the size of the whole support.
-  No other row is decoded.
+- :func:`rows_below` returns ``(rows, size)``: only the rows with some
+  coordinate below a floor, found on the packed fields, in :func:`phi_sums`
+  order, and the size of the whole support.  No other row is decoded.
 - :func:`translate` adds a shift to rows that a reader returned, in int64
   while the sums fit and in Python ints past that, so exact for any ints.
 
@@ -267,14 +266,14 @@ def sum_keys(rs: RootSystem, p: int) -> tuple[np.ndarray, np.ndarray, Fields]:
 
 def rows_below(
     rs: RootSystem, p: int, floor: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, int]:
     """The rows mu of :func:`phi_sums` with some ``mu_k < floor_k``.
 
-    Returns their indices in :func:`phi_sums` order, their int64 rows and
-    the number of rows of the whole support.  Each coordinate is tested on
-    its packed field of :func:`sum_keys`, ``mu_k = field + low_k``, so only
-    the rows found are decoded.  The thresholds are clamped to the field's
-    range in Python ints, so ``floor`` may hold any integers.
+    Returns them as int64 rows in :func:`phi_sums` order, and the number of
+    rows of the whole support.  Each coordinate is tested on its packed
+    field of :func:`sum_keys`, ``mu_k = field + low_k``, so only the rows
+    found are decoded.  The thresholds are clamped to the field's range in
+    Python ints, so ``floor`` may hold any integers.
     """
     if len(floor) != rs.rank:
         raise ExteriorError(f"floor has {len(floor)} coordinates, expected {rs.rank}")
@@ -287,8 +286,7 @@ def rows_below(
         edge = f - low
         if edge > 0:
             below |= (keys & (mask << shift)) < (min(edge, mask + 1) << shift)
-    idx = np.flatnonzero(below)
-    return idx, decode_vectors(keys[idx], fields), keys.size
+    return decode_vectors(keys[below], fields), keys.size
 
 
 def phi_sums(

@@ -10,10 +10,10 @@ contributions strictly outweigh the degree-0 ones while no other degree
 occurs, so the alternating sum leaves the first cohomology nonzero.
 
 The certificate built here validates exactly those structural facts (every
-weight classified, the filtration order, one pattern check on the exceptional
-weights' outcomes, the degree totals); the splice of long exact sequences
-that turns them into the cohomological conclusion is standard bookkeeping
-and is not re-derived.
+weight classified, one pattern check on the exceptional weights' outcomes,
+the degree totals); the filtration order is the catalogue's own order and
+needs no check.  The splice of long exact sequences that turns them into the
+cohomological conclusion is standard bookkeeping and is not re-derived.
 """
 
 from __future__ import annotations
@@ -142,20 +142,6 @@ class NonvanishingCertificate:
         return sum(1 for r in self.records if r.outcome.is_singular)
 
 
-def _check_filtration_order(records: tuple[ClassifiedWeight, ...]) -> None:
-    """No later weight may sit below an earlier one in the root order.
-
-    Raises on the first pair ``s < t`` (by ``s``, then ``t``) whose source
-    root coordinates satisfy ``rc_s >= rc_t`` entrywise.
-    """
-    rc = np.array([r.source.root_coords for r in records], dtype=np.int64)
-    below = (rc[:, None, :] >= rc[None, :, :]).all(axis=2)
-    bad = np.argwhere(np.triu(below, k=1))
-    if bad.size:
-        s, t = bad[0]
-        raise CertificateError(f"ordering violated between positions {s} and {t}")
-
-
 def _degree_totals(rs: RootSystem, pairs: Iterable[tuple[BwbOutcome, int]]) -> dict[int, int]:
     """Dimension totals by degree of ``(outcome, multiplicity)`` pairs, sorted
     by degree, with a key only for a degree that occurs.
@@ -180,8 +166,11 @@ def build_certificate(rs: RootSystem) -> NonvanishingCertificate:
     """Construct and validate the full nonvanishing certificate for one type.
 
     Weights are ordered by ascending height of the source root with a
-    lexicographic tiebreak (the canonical order of the catalogue).  One
-    pattern check: in that order the exceptional weights regularize to
+    lexicographic tiebreak (the canonical order of the catalogue), which is
+    a filtration order with no check: ``s < t`` with ``rc_s >= rc_t``
+    entrywise gives ``height_s >= height_t``, so equal heights and ``rc_s ==
+    rc_t``, which distinct roots are not.  One pattern check: in that order
+    the exceptional weights regularize to
     ``(degree, dominant) == [(1, 0), (1, 0), (0, 0)]``, so the units sourced
     at beta1 and beta2 precede the zero weight.  Every other weight is
     singular except G2's extras, and the total degree-1 dimension strictly
@@ -190,7 +179,6 @@ def build_certificate(rs: RootSystem) -> NonvanishingCertificate:
     lam = theorem12_lambda(rs)
     try:
         records = tuple(classify_lemma11(rs))
-        _check_filtration_order(records)
         zero = Weight.zero(rs.rank)
         got = [(r.outcome.degree, r.outcome.dominant)
                for r in records if r.kind == KIND_EXCEPTIONAL]

@@ -125,9 +125,6 @@ class Weight:
     def __sub__(self, other: "Weight") -> "Weight":
         return Weight(tuple(a - b for a, b in zip(self.coords, other.coords, strict=True)))
 
-    def __neg__(self) -> "Weight":
-        return Weight(tuple(-a for a in self.coords))
-
     @property
     def is_dominant(self) -> bool:
         return all(c >= 0 for c in self.coords)
@@ -149,11 +146,6 @@ class Root:
     coroot_coords: tuple[int, ...]
     half_norm: int
     height: int
-
-    def __str__(self) -> str:
-        rc = " ".join(str(c) for c in self.root_coords)
-        wc = " ".join(str(c) for c in self.weight.coords)
-        return f"({rc}) <-> ({wc})"
 
 
 def _edges(t: SimpleType) -> list[tuple[int, int, int, int]]:

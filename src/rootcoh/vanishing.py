@@ -19,13 +19,13 @@ h_alpha - 1 and h - 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from .exterior import MAX_LIVE_KEYS, phi_sums, rows_below, translate
-from .rootsys import Root, RootSystem, Weight
+from .rootsys import Root, RootSystem, Weight, root_system
 from .weyl import pairings
 
 
@@ -42,13 +42,12 @@ class Witness:
     singular_root: Root | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class VanishingReport:
-    """Outcome of the hypothesis check for one (type, p, lam).
+    """Outcome of the hypothesis check for one (type, p, lam): the verdict
+    and the counts that ``check-t1`` prints, and nothing else.
 
-    Only the non-dominant rows are held: their indices in ``phi_sums``
-    order, and which of them are violations.  :meth:`witnesses` decodes the
-    whole support on demand and finds each singular row's witness root then.
+    :meth:`witnesses` lists the rows again from ``type``, ``p`` and ``lam``.
     """
 
     type: str
@@ -59,9 +58,6 @@ class VanishingReport:
     num_singular: int
     num_violations: int
     first_violation: Weight | None
-    _rs: RootSystem = field(repr=False)
-    _idx: np.ndarray = field(repr=False)
-    _violation: np.ndarray = field(repr=False)
 
     @property
     def passed(self) -> bool:
@@ -70,25 +66,31 @@ class VanishingReport:
     def witnesses(self) -> Iterator[Witness]:
         """Per-mu records, in lexicographic order of mu.
 
+        The catalogue is ``root_system(self.type)``, the cached one that
+        :func:`check_theorem1` was given.  Every row of :func:`phi_sums
+        <rootcoh.exterior.phi_sums>` is moved to ``x = lam + mu + rho``; a
+        row is dominant iff every ``x_k > 0``, and each other row is paired
+        with every positive coroot in blocks, as in :func:`check_theorem1`.
         A singular row's witness is the first positive root in canonical
-        order whose coroot pairs ``lam + mu + rho`` to zero: the ``argmax``
-        of its zero pairings, with every singular row paired in blocks as in
-        :func:`check_theorem1`.  Roots come by ascending height, so a row
-        with a zero coordinate takes the first simple root at a zero
-        coordinate.
+        order whose coroot pairs ``x`` to zero, the ``argmax`` of its zero
+        pairings; a row with no zero pairing is a violation.  Roots come by
+        ascending height, so a row with a zero coordinate takes the first
+        simple root at a zero coordinate.  Every row is classified before
+        the first record is yielded.
         """
-        rs = self._rs
-        roots = rs.positive_roots
+        rs = root_system(self.type)
         mu, _ = phi_sums(rs, self.p)
-        x = translate(mu[self._idx], (self.lam + rs.rho).coords)
-        witness = np.full(self._idx.size, -1)
-        for block in _blocks(rs, np.flatnonzero(~self._violation)):
-            witness[block] = (pairings(rs, x[block]) == 0).argmax(axis=1)
-        root_of = dict(zip(self._idx.tolist(), witness.tolist()))
-        for i, row in enumerate(mu.tolist()):
-            r = root_of.get(i)
-            kind = "dominant" if r is None else "violation" if r < 0 else "singular"
-            root = roots[r] if kind == "singular" else None
+        x = translate(mu, (self.lam + rs.rho).coords)
+        dominant = (x > 0).all(axis=1)
+        # the witness root of each singular row, -1 on every other row
+        witness = np.full(len(mu), -1)
+        for block in _blocks(rs, np.flatnonzero(~dominant)):
+            zero = pairings(rs, x[block]) == 0
+            witness[block] = np.where(zero.any(axis=1), zero.argmax(axis=1), -1)
+        roots = rs.positive_roots
+        for row, d, r in zip(mu.tolist(), dominant.tolist(), witness.tolist()):
+            kind = "dominant" if d else "violation" if r < 0 else "singular"
+            root = roots[r] if r >= 0 else None
             yield Witness(mu=Weight(tuple(row)), kind=kind, singular_root=root)
 
 
@@ -113,17 +115,18 @@ def check_theorem1(rs: RootSystem, p: int, lam: Weight) -> VanishingReport:
     with the simple coroot ``alpha_k^v`` is ``x_k``, so a row with a zero
     coordinate is singular.  Stage 2: each other row is paired with every
     positive coroot, in blocks of at most ``MAX_LIVE_KEYS // N`` rows, and is
-    a violation iff none of its pairings is 0.  Witness roots are found only
-    by :meth:`VanishingReport.witnesses`.
+    a violation iff none of its pairings is 0.  The report holds the counts
+    and the first violation only; :meth:`VanishingReport.witnesses` lists
+    the rows, with their witness roots, from the whole support again.
     """
     if len(lam.coords) != rs.rank:
         raise VanishingError(f"lambda has {len(lam.coords)} coordinates")
     if not lam.is_dominant:
         raise VanishingError(f"lambda must be dominant, got {lam}")
-    idx, mu, size = rows_below(rs, p, [-c for c in lam.coords])
+    mu, size = rows_below(rs, p, [-c for c in lam.coords])
     x = translate(mu, (lam + rs.rho).coords)
     rest = np.flatnonzero(x.all(axis=1))
-    violation = np.zeros(idx.size, dtype=bool)
+    violation = np.zeros(len(mu), dtype=bool)
     for block in _blocks(rs, rest):
         violation[block] = ~(pairings(rs, x[block]) == 0).any(axis=1)
     violations = np.flatnonzero(violation)
@@ -135,13 +138,10 @@ def check_theorem1(rs: RootSystem, p: int, lam: Weight) -> VanishingReport:
         p=p,
         lam=lam,
         verdict="fail" if violations.size else "pass",
-        num_dominant=size - idx.size,
-        num_singular=idx.size - violations.size,
+        num_dominant=size - len(mu),
+        num_singular=len(mu) - violations.size,
         num_violations=violations.size,
         first_violation=first,
-        _rs=rs,
-        _idx=idx,
-        _violation=violation,
     )
 
 

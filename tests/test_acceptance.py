@@ -8,6 +8,7 @@ from math import prod
 
 import numpy as np
 import pytest
+from conftest import WEYL_DEGREES, poincare
 
 from rootcoh import exterior, verify
 from rootcoh.rootsys import Weight, root_system
@@ -95,28 +96,13 @@ def test_criterion9_catches_a_corrupted_outcome(monkeypatch, target, corrupt, me
     assert res.detail.startswith(f"B3 {target}: {message}")
 
 
-#: The degrees d_i of W (Humphreys, Reflection Groups and Coxeter Groups,
-#: section 3.15); |W| is their product and the Poincare polynomial
-#: sum_w t^l(w) is prod_i (1 + t + ... + t^(d_i - 1)).
-WEYL_DEGREES = {
-    "A1": (2,), "A2": (2, 3), "A3": (2, 3, 4),
-    "B2": (2, 4), "C2": (2, 4), "B3": (2, 4, 6), "C3": (2, 4, 6),
-    "G2": (2, 6), "D4": (2, 4, 4, 6), "B4": (2, 4, 6, 8), "F4": (2, 6, 8, 12),
-}
-
-
 @pytest.mark.parametrize("name", [*verify.ORACLE_TYPES, "D4", "B4", "F4"])
 def test_weyl_group_lengths_give_the_poincare_polynomial(name):
     rs = root_system(name)
     group = verify.weyl_group(rs)
-    poincare = [1]
-    for d in WEYL_DEGREES[name]:
-        poincare = [
-            sum(poincare[max(0, k - d + 1):k + 1]) for k in range(len(poincare) + d - 1)
-        ]
     assert len({m.tobytes() for m, _ in group}) == len(group) == prod(WEYL_DEGREES[name])
     by_length = Counter(length for _, length in group)
-    assert [by_length[k] for k in range(max(by_length) + 1)] == poincare
+    assert [by_length[k] for k in range(max(by_length) + 1)] == poincare(WEYL_DEGREES[name])
     rho = np.array(rs.rho.coords)
     longest = [m for m, length in group if length == rs.num_positive_roots]
     assert len(longest) == 1

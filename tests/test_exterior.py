@@ -1,6 +1,7 @@
 """The exterior-power engine, its working-set cap, weight sums and profiles."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from rootcoh.exterior import (
     sum_keys,
 )
 from rootcoh.rootsys import Weight
+from rootcoh.verify import BRUTE_TYPES, weyl_group
 
 
 def as_dict(pair) -> dict:
@@ -129,6 +131,30 @@ def test_complement_symmetry():
             m0 = as_dict(phi_sums(rs, p, "-")).get(zero, 0)
             m1 = as_dict(phi_sums(rs, n - p, "-")).get(bottom, 0)
             assert m0 == m1
+
+
+@pytest.mark.parametrize("name", BRUTE_TYPES)
+def test_kostant_extreme_weights_and_the_denominator_identity(name):
+    # Kostant (Ann. of Math. 74, 1961): each weight w rho - rho has
+    # multiplicity 1 in layer l(w) and in no other layer, and with signs
+    # over p the layers sum to sum_w (-1)^l(w) e^(w rho - rho), the Weyl
+    # denominator identity.  The orbit comes from the Weyl group alone, so
+    # every layer, the reflected ones p > N/2 included, is checked against
+    # data that shares no code with the engine.
+    rs = root_system(name)
+    rho = np.array(rs.rho.coords)
+    orbit = {tuple((m @ rho - rho).tolist()): length for m, length in weyl_group(rs)}
+    found, signed = {}, Counter()
+    for p in range(rs.num_positive_roots + 1):
+        rows, mults = phi_sums(rs, p)
+        for mu, m in zip(map(tuple, rows.tolist()), mults.tolist()):
+            signed[mu] += (-1) ** p * m
+            if mu in orbit:
+                found.setdefault(mu, []).append((p, m))
+    assert found == {mu: [(length, 1)] for mu, length in orbit.items()}
+    assert {mu: s for mu, s in signed.items() if s} == {
+        mu: (-1) ** length for mu, length in orbit.items()
+    }
 
 
 def test_reference_enumeration_agrees():

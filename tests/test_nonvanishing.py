@@ -7,6 +7,7 @@ from math import prod
 
 import numpy as np
 import pytest
+from conftest import WEYL_DEGREES, poincare
 from hypothesis import given, settings, strategies as st
 
 from rootcoh import (
@@ -24,7 +25,6 @@ from rootcoh.exterior import ExteriorError, lambda_p_weights, phi_sums
 from rootcoh.nonvanishing import (
     CertificateError,
     _beta_indices,
-    _check_filtration_order,
 )
 from rootcoh.rootsys import Weight, all_simple_types
 from rootcoh.weyl import BwbOutcome, WeylError, bwb, pairings
@@ -169,7 +169,7 @@ def test_certificate_catches_an_exceptional_weight_in_the_wrong_degree(
     records = classify_lemma11(rs)
     got = [(r.outcome.degree, r.outcome.dominant) for r in records if r.kind == "exceptional"]
     if moved == "unit":
-        target, outcome = -rs.simple_root(_beta_indices(rs)[1]).weight, BwbOutcome(2, z)
+        target, outcome = z - rs.simple_root(_beta_indices(rs)[1]).weight, BwbOutcome(2, z)
     else:
         target, outcome = z, BwbOutcome(1, z)
     k = [r.mu for r in records if r.kind == "exceptional"].index(target)
@@ -276,6 +276,33 @@ def test_e1_page_euler_is_multiset_invariant():
         if not out.is_singular:
             chi += (-1) ** out.degree * weyl_dim(g2, out.dominant) * m
     assert chi == page.euler == -1
+
+
+@pytest.mark.parametrize("name", sorted(WEYL_DEGREES))
+def test_e1_page_euler_at_zero_gives_the_hodge_numbers(name):
+    # chi_p(0) = (-1)^p h^{p,p}(G/B), and the Hodge numbers h^{p,p} are the
+    # coefficients of the Poincare polynomial prod_i (1 + ... + t^(d_i - 1))
+    # (Bott 1957): identities of the Weyl group alone, not of the engine
+    rs = root_system(name)
+    hodge = poincare(WEYL_DEGREES[name])
+    zero = Weight.zero(rs.rank)
+    assert [e1_page(rs, p, zero).euler for p in range(rs.num_positive_roots + 1)] == [
+        (-1) ** p * h for p, h in enumerate(hodge)
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_e1_page_satisfies_serre_duality(data):
+    # b_q(p, lam) = b_{N-q}(N-p, -lam) at every lam, dominant or not: it
+    # pairs a direct layer with a reflected one
+    rs = root_system(data.draw(st.sampled_from(("A1", "A2", "A3", "B2", "B3", "C3", "G2"))))
+    n = rs.num_positive_roots
+    p = data.draw(st.integers(0, n))
+    coords = data.draw(st.lists(st.integers(-4, 4), min_size=rs.rank, max_size=rs.rank))
+    page = e1_page(rs, p, Weight(tuple(coords)))
+    dual = e1_page(rs, n - p, Weight(tuple(-c for c in coords)))
+    assert dual.buckets == {n - q: v for q, v in page.buckets.items()}
 
 
 def test_e1_page_refuses_out_of_contract_input():
@@ -432,12 +459,3 @@ def test_g2_page_at_witness_weight():
     page = e1_page(g2, 5, theorem12_lambda(g2))
     assert page.buckets == {0: 8, 1: 9}
     assert page.euler == -1
-
-
-def test_filtration_order_rejects_reversed_records():
-    for name in ("A2", "B3", "G2", "E6"):
-        rs = root_system(name)
-        records = tuple(classify_lemma11(rs))
-        _check_filtration_order(records)
-        with pytest.raises(CertificateError, match="between positions 0 and 1"):
-            _check_filtration_order(tuple(reversed(records)))

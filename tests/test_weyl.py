@@ -52,14 +52,14 @@ def test_bwb_zero_weight():
 def test_bwb_minus_rho_is_singular():
     for name in ("A2", "C3", "F4"):
         rs = root_system(name)
-        assert bwb(rs, -rs.rho).is_singular
+        assert bwb(rs, [-c for c in rs.rho]).is_singular
 
 
 def test_bwb_minus_simple_root():
     for name in ("A2", "B2", "D4", "F4", "G2", "E6"):
         rs = root_system(name)
         for i in range(rs.rank):
-            out = bwb(rs, -rs.simple_root(i).weight)
+            out = bwb(rs, [-c for c in rs.simple_root(i).weight])
             assert not out.is_singular
             assert out.degree == 1
             assert out.dominant == Weight.zero(rs.rank)
