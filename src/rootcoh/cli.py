@@ -180,7 +180,9 @@ def _cmd_bwb(args, rs: RootSystem, lam: Weight) -> None:
 
 
 def _cmd_phi(args, rs: RootSystem, lam: None) -> None:
-    vecs, counts = phi_sums(rs, args.p, args.sign)
+    vecs, counts = phi_sums(rs, args.p)
+    if args.sign == "+":
+        vecs, counts = -vecs[::-1], counts[::-1]
     weights, mults = vecs.tolist(), counts.tolist()
     total = sum(mults)
     if args.format == "json":
@@ -300,8 +302,8 @@ def _cmd_check_t1(args, rs: RootSystem, lam: Weight) -> dict | None:
 def _cmd_thresholds(args, rs: RootSystem, lam: None) -> None:
     degrees = [args.p] if args.p is not None else list(range(rs.num_positive_roots + 1))
     rows = [{"p": p, "bounds": list(prop2_threshold(rs, p))} for p in degrees]
-    per_root = list(corollary_bound(rs, "per_root"))
-    glob = list(corollary_bound(rs, "global"))
+    per_root = list(corollary_bound(rs))
+    glob = [rs.coxeter_number - 1] * rs.rank
     if args.format == "json":
         _emit(
             {

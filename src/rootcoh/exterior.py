@@ -23,8 +23,8 @@ and :func:`sum_keys` hands out layer ``p`` itself for every ``p``: for
 knows about the complement.  The readers:
 
 - :func:`phi_sums` returns ``(rows, multiplicities)``, int64 arrays in
-  lexicographic order of the weights, for sums of negative roots, and for
-  sums of positive roots their negatives in reverse order.
+  lexicographic order of the weights, for sums of negative roots; the
+  sums of positive roots are their negatives, read in reverse order.
 - :func:`lambda_p_weights` returns the rows of :func:`phi_sums` translated
   by lam as Python-int tuples, and the multiplicities as Python ints.
 - :func:`rows_below` returns ``(rows, size)``: only the rows with some
@@ -68,7 +68,7 @@ class BudgetExceededError(RuntimeError):
 
 
 class ExteriorError(ValueError):
-    """Raised on out-of-range degrees, signs or packing ranges."""
+    """Raised on out-of-range degrees or packing ranges."""
 
 
 # ---------------------------------------------------------------------------
@@ -118,11 +118,10 @@ def decode_vectors(keys: np.ndarray, fields: Fields) -> np.ndarray:
 def _merge_key_counts(
     parts: Sequence[tuple[np.ndarray, np.ndarray]]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Merge (sorted-or-not) key/count blocks into one sorted unique block."""
+    """Merge (sorted-or-not) key/count blocks, at least one key in all,
+    into one sorted unique block."""
     keys = np.concatenate([p[0] for p in parts])
     counts = np.concatenate([p[1] for p in parts])
-    if keys.size == 0:
-        return keys, counts
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     counts = counts[order]
@@ -289,22 +288,11 @@ def rows_below(
     return decode_vectors(keys[below], fields), keys.size
 
 
-def phi_sums(
-    rs: RootSystem, p: int, sign: str = "-"
-) -> tuple[np.ndarray, np.ndarray]:
-    """(weights, multiplicities) of all sums of p distinct negative (``"-"``)
-    or positive (``"+"``) roots, as int64 arrays in lexicographic order.
-
-    The negative sums are :func:`sum_keys` decoded; the positive sums are
-    their negatives, read in reverse order.
-    """
-    if sign not in ("+", "-"):
-        raise ExteriorError(f"sign must be '+' or '-', got {sign!r}")
+def phi_sums(rs: RootSystem, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(weights, multiplicities) of all sums of p distinct negative roots,
+    as int64 arrays in lexicographic order: :func:`sum_keys` decoded."""
     keys, counts, fields = sum_keys(rs, p)
-    vecs = decode_vectors(keys, fields)
-    if sign == "+":
-        return -vecs[::-1], counts[::-1]
-    return vecs, counts
+    return decode_vectors(keys, fields), counts
 
 
 def translate(rows: np.ndarray, shift: Sequence[int]) -> np.ndarray:

@@ -91,7 +91,7 @@ def classify_lemma11(rs: RootSystem) -> list[ClassifiedWeight]:
     triple = (b1, b2, rs.root_by_coords(sum_rc))
     beta_w = b1.weight + b2.weight
     mus = [alpha.weight - beta_w for alpha in rs.positive_roots]
-    cols = [rs.index_of(t.root_coords) for t in triple]
+    cols = [rs.positive_roots.index(t) for t in triple]
     hits = (pairings(rs, np.array([mu.coords for mu in mus]) + 1)[:, cols] == 0).tolist()
 
     out: list[ClassifiedWeight] = []

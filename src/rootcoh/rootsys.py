@@ -235,26 +235,13 @@ class RootSystem:
     def num_positive_roots(self) -> int:
         return len(self.positive_roots)
 
-    @property
-    def dim_group(self) -> int:
-        return 2 * len(self.positive_roots) + self.rank
-
     def simple_root(self, i: int) -> Root:
-        """The i-th simple root (0-based)."""
-        return self.positive_roots[self._simple_indices[i]]
-
-    @cached_property
-    def _simple_indices(self) -> tuple[int, ...]:
-        return tuple(
-            self.index_of(tuple(1 if k == i else 0 for k in range(self.rank)))
-            for i in range(self.rank)
-        )
-
-    def index_of(self, root_coords: Sequence[int]) -> int:
-        return self._root_index[tuple(root_coords)]
+        """The i-th simple root (0-based): the canonical order puts the unit
+        vectors first, the last node lowest."""
+        return self.positive_roots[self.rank - 1 :: -1][i]
 
     def root_by_coords(self, root_coords: Sequence[int]) -> Root:
-        return self.positive_roots[self.index_of(root_coords)]
+        return self.positive_roots[self._root_index[tuple(root_coords)]]
 
     @cached_property
     def _root_index(self) -> dict[tuple[int, ...], int]:
@@ -404,7 +391,8 @@ def build_root_system(t: SimpleType) -> RootSystem:
     refused before anything is allocated.
     """
     n = t.rank
-    entries = _POSITIVE_COUNT[t.family](n) * n
+    expected = _POSITIVE_COUNT[t.family](n)
+    entries = expected * n
     if entries > MAX_CATALOGUE_ENTRIES:
         raise RootSystemError(
             f"{t}: |Phi+| * rank = {entries} passes the catalogue bound "
@@ -418,7 +406,6 @@ def build_root_system(t: SimpleType) -> RootSystem:
                 raise RootSystemError("cartan matrix is not symmetrizable")
 
     weights = _generate_positive_roots(cartan, n)
-    expected = _POSITIVE_COUNT[t.family](n)
     if len(weights) != expected:
         raise RootSystemError(
             f"{t}: generated {len(weights)} positive roots, expected {expected}"

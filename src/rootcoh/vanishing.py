@@ -14,7 +14,7 @@ every positive coroot.  :func:`~rootcoh.exterior.translate` builds ``x`` and
 ``prop2_threshold`` gives closed-form per-coordinate lower bounds on lam that
 guarantee a pass on every type, read off the column profile of the
 positive-root weight rows; ``corollary_bound`` gives the p-free bounds
-h_alpha - 1 and h - 1.
+h_alpha - 1.
 """
 
 from __future__ import annotations
@@ -74,9 +74,10 @@ class VanishingReport:
         A singular row's witness is the first positive root in canonical
         order whose coroot pairs ``x`` to zero, the ``argmax`` of its zero
         pairings; a row with no zero pairing is a violation.  Roots come by
-        ascending height, so a row with a zero coordinate takes the first
-        simple root at a zero coordinate.  Every row is classified before
-        the first record is yielded.
+        ascending height, so a row with a zero coordinate takes a simple
+        root; the simple roots come last node first, so it is the simple
+        root of the row's last zero coordinate.  Every row is classified
+        before the first record is yielded.
         """
         rs = root_system(self.type)
         mu, _ = phi_sums(rs, self.p)
@@ -159,16 +160,12 @@ def prop2_threshold(rs: RootSystem, p: int) -> tuple[int, ...]:
     return tuple(max(0, m - 1) for m in rs.column_profile[p])
 
 
-def corollary_bound(rs: RootSystem, kind: str = "per_root") -> tuple[int, ...]:
-    """p-independent lower bounds: h_alpha - 1 per coordinate, or h - 1 flat.
+def corollary_bound(rs: RootSystem) -> tuple[int, ...]:
+    """p-independent lower bounds: h_alpha - 1 per coordinate.
 
     Corollary 5 read off :func:`prop2_threshold`: ``h_alpha = max_p M_i(p)``.
     The largest sum of entries of column i takes all its positive entries, and
     those sum to h_alpha: the positive roots sum to 2 rho (column sum 2), and
     the absolute column sum is ``2 h_alpha - 2``.
     """
-    if kind == "per_root":
-        return tuple(h - 1 for h in rs.coxeter_per_root)
-    if kind == "global":
-        return (rs.coxeter_number - 1,) * rs.rank
-    raise VanishingError(f"kind must be 'per_root' or 'global', got {kind!r}")
+    return tuple(h - 1 for h in rs.coxeter_per_root)

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -70,6 +71,20 @@ def test_phi_json(capsys, sign):
         "type": "B2",
         "sign": sign,
     }
+
+
+def test_sign_symmetry(cli_json):
+    # the sums of p positive roots are the sums of p negative roots negated,
+    # so `--sign +` lists the `--sign -` entries negated, in reverse order
+    for name in ("A2", "B3", "G2"):
+        for p in range(root_system(name).num_positive_roots + 1):
+            minus = cli_json("phi", name, "-p", str(p), "--sign", "-")
+            plus = cli_json("phi", name, "-p", str(p), "--sign", "+")
+            assert plus["total"] == minus["total"]
+            assert plus["entries"] == [
+                {"weight": [-c for c in e["weight"]], "mult": e["mult"]}
+                for e in reversed(minus["entries"])
+            ]
 
 
 @pytest.mark.parametrize(
@@ -508,3 +523,14 @@ def test_a_closed_pipe_ends_the_script_quietly():
         proc.stdout.close()
         err = proc.stderr.read()
     assert (proc.returncode, err) == (-signal.SIGPIPE, b"")
+
+
+def test_declared_python_floor_has_the_digit_limit_calls():
+    # main calls sys.get_int_max_str_digits and sys.set_int_max_str_digits,
+    # which Python 3.11 added and 3.10.7 backported; below that floor every
+    # command would end in an AttributeError
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    floor = re.search(r'^requires-python = ">=([0-9.]+)"$',
+                      pyproject.read_text(encoding="utf-8"), re.MULTILINE)
+    assert floor is not None
+    assert tuple(map(int, floor.group(1).split("."))) >= (3, 10, 7)

@@ -94,11 +94,17 @@ def test_highest_root_weight_examples():
 
 
 def test_coroot_coords_simple_roots_are_units():
-    for name in ("A3", "B3", "C3", "F4", "G2"):
-        rs = root_system(name)
+    # simple_root reads the i-th simple root off the canonical order by
+    # position, so its root and coroot coordinates must both be e_i
+    for t in all_simple_types(8):
+        rs = root_system(t)
         for i in range(rs.rank):
             expected = tuple(1 if k == i else 0 for k in range(rs.rank))
-            assert rs.simple_root(i).coroot_coords == expected
+            assert rs.simple_root(i).root_coords == expected, (str(t), i)
+            assert rs.simple_root(i).coroot_coords == expected, (str(t), i)
+        assert rs.simple_root(-1) == rs.simple_root(rs.rank - 1)
+        with pytest.raises(IndexError):
+            rs.simple_root(rs.rank)
 
 
 def test_coroot_coords_long_roots():

@@ -208,23 +208,34 @@ def test_check_requires_dominant_lambda():
 
 
 def test_singular_witnesses_reverify():
+    # a singular row's witness is the first root in canonical order that
+    # pairs x = lam + mu + rho to zero; with a zero coordinate it is the
+    # simple root of the last one, the simple roots coming last node first
+    several_zeros = 0
     for name in ("A3", "B2", "G2"):
         rs = root_system(name)
         for p in (1, 2, rs.num_positive_roots - 1):
-            lam = Weight(prop2_threshold(rs, p))
-            rep = check_theorem1(rs, p, lam)
-            for w in rep.witnesses():
-                shifted = lam + w.mu
-                if w.kind == "singular":
-                    assert pairing(rs, shifted + rs.rho, w.singular_root) == 0
-                elif w.kind == "dominant":
-                    assert shifted.is_dominant
-                else:
-                    assert not shifted.is_dominant
-                    assert all(
-                        pairing(rs, shifted + rs.rho, r) != 0
-                        for r in rs.positive_roots
-                    )
+            for lam in (Weight.zero(rs.rank), rs.rho, Weight(prop2_threshold(rs, p))):
+                rep = check_theorem1(rs, p, lam)
+                for w in rep.witnesses():
+                    shifted = lam + w.mu
+                    x = shifted + rs.rho
+                    if w.kind == "singular":
+                        k = rs.positive_roots.index(w.singular_root)
+                        assert pairing(rs, x, w.singular_root) == 0
+                        assert all(pairing(rs, x, r) != 0 for r in rs.positive_roots[:k])
+                        zeros = [i for i, c in enumerate(x) if c == 0]
+                        if zeros:
+                            assert w.singular_root == rs.simple_root(max(zeros))
+                            several_zeros += len(zeros) > 1
+                    elif w.kind == "dominant":
+                        assert shifted.is_dominant
+                    else:
+                        assert not shifted.is_dominant
+                        assert all(
+                            pairing(rs, x, r) != 0 for r in rs.positive_roots
+                        )
+    assert several_zeros
 
 
 def test_threshold_examples():
@@ -279,24 +290,25 @@ def test_c2_matches_relabeled_b2():
         assert prop2_threshold(c2, p) == (a[1], a[0])
 
 
-def test_corollary_bounds():
+def test_corollary_bounds(cli_json):
     g2 = root_system("G2")
-    assert corollary_bound(g2, "per_root") == (3, 5)
-    assert corollary_bound(g2, "global") == (5, 5)
+    assert corollary_bound(g2) == (3, 5)
+    assert cli_json("thresholds", "G2")["all_degrees_global"] == [5, 5]
     for n in range(1, 6):
         an = root_system(f"A{n}")
-        assert corollary_bound(an, "per_root") == (n,) * n
-        assert corollary_bound(an, "global") == (n,) * n
+        assert corollary_bound(an) == (n,) * n
+        assert cli_json("thresholds", f"A{n}")["all_degrees_global"] == [n] * n
     for t in all_simple_types(8):
         rs = root_system(t)
-        per = corollary_bound(rs, "per_root")
-        glob = corollary_bound(rs, "global")
+        per = corollary_bound(rs)
+        doc = cli_json("thresholds", str(t))
+        glob = doc["all_degrees_global"]
+        assert doc["all_degrees_per_root"] == list(per)
+        assert glob == [rs.coxeter_number - 1] * rs.rank
         assert all(a <= b for a, b in zip(per, glob))
         # Corollary 5 read off Prop 2: h_alpha - 1 is the largest bound over p
         bounds = [prop2_threshold(rs, p) for p in range(rs.num_positive_roots + 1)]
         assert per == tuple(map(max, zip(*bounds))), str(t)
-    with pytest.raises(VanishingError):
-        corollary_bound(g2, "both")
 
 
 def test_report_json_round_trip(cli_json):
