@@ -113,9 +113,6 @@ class Weight:
     def __len__(self) -> int:
         return len(self.coords)
 
-    def __getitem__(self, i: int) -> int:
-        return self.coords[i]
-
     def __iter__(self) -> Iterator[int]:
         return iter(self.coords)
 
@@ -179,9 +176,7 @@ def _edges(t: SimpleType) -> list[tuple[int, int, int, int]]:
         return es
     if f == "F":
         return [simply(0, 1), (2, 1, -2, -1), simply(2, 3)]
-    if f == "G":
-        return [(1, 0, -3, -1)]
-    raise RootSystemError(f"unknown family {f!r}")
+    return [(1, 0, -3, -1)]  # G
 
 
 def _half_norms(t: SimpleType) -> tuple[int, ...]:
@@ -195,9 +190,7 @@ def _half_norms(t: SimpleType) -> tuple[int, ...]:
         return (1,) * (n - 1) + (2,)
     if f == "F":
         return (2, 2, 1, 1)
-    if f == "G":
-        return (3, 1)
-    raise RootSystemError(f"unknown family {f!r}")
+    return (3, 1)  # G
 
 
 def _cartan(t: SimpleType) -> tuple[tuple[int, ...], ...]:
@@ -252,30 +245,18 @@ class RootSystem:
         return self.positive_roots[-1]
 
     @cached_property
-    def simple_weight_rows(self) -> tuple[tuple[int, ...], ...]:
-        """weight_coords of each simple root, i.e. the columns of cartan.
-
-        Reflecting at node ``i`` subtracts ``x[i]`` times row ``i`` from a
-        weight ``x``.  Criterion 9's ``|W|`` oracle builds the group from
-        these dense rows, so it shares no code with the sparse
-        :attr:`reflection_table` that :func:`~rootcoh.weyl.bwb` reads.
-        """
-        n = self.rank
-        return tuple(tuple(self.cartan[a][i] for a in range(n)) for i in range(n))
-
-    @cached_property
     def reflection_table(self) -> tuple[int, int, tuple[tuple[tuple[int, int], ...], ...]]:
         """``(rank, N, neighbours)``: what one simple reflection changes.
 
         ``N`` is :attr:`num_positive_roots`, the longest reduced word, so at
         most ``N`` reflections regularize a weight.  ``neighbours[i]`` lists
         ``(j, a)`` for each Dynkin neighbour ``j`` of node ``i``, with
-        ``a = simple_weight_rows[i][j] != 0``.  Reflecting ``x`` at ``i``
-        sets ``x[i] = -x[i]`` (the diagonal entry is 2) and ``x[j] -= x[i] * a``
-        at each neighbour; no other coordinate moves.  Raises
-        :class:`RootSystemError` if a diagonal entry is not 2.
+        ``a = cartan[j][i] != 0``: column ``i`` is the weight of ``alpha_i``.
+        Reflecting ``x`` at ``i`` sets ``x[i] = -x[i]`` (the diagonal entry
+        is 2) and ``x[j] -= x[i] * a`` at each neighbour; no other coordinate
+        moves.  Raises :class:`RootSystemError` if a diagonal entry is not 2.
         """
-        rows = self.simple_weight_rows
+        rows = tuple(zip(*self.cartan))
         n = self.rank
         if any(rows[i][i] != 2 for i in range(n)):
             raise RootSystemError(f"{self.simple_type}: cartan diagonal is not 2")
@@ -340,9 +321,6 @@ class RootSystem:
         """prod over positive roots of (rho, gamma^v)."""
         return prod(sum(row) for row in self.coroot_rows)
 
-    def __str__(self) -> str:
-        return str(self.simple_type)
-
 
 def _generate_positive_roots(
     cartan: tuple[tuple[int, ...], ...], n: int
@@ -355,7 +333,7 @@ def _generate_positive_roots(
     ``c = w[i]`` times that column from the weight ``w``, as it subtracts
     ``c`` from root coordinate ``i``; so no weight is computed twice.
     """
-    columns = [tuple(cartan[a][i] for a in range(n)) for i in range(n)]
+    columns = list(zip(*cartan))
     seen: dict[tuple[int, ...], tuple[int, ...]] = {}
     work: list[tuple[int, ...]] = []
     for i in range(n):

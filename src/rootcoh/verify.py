@@ -194,9 +194,7 @@ def _expected_column_stats(t: SimpleType) -> list[tuple[int, ...]]:
         return [row] * n
     if fam == "F":
         return [(9, 7, 1, 0, 7, 0, 0)] * 2 + [(9, 4, 4, 0, 4, 3, 0)] * 2
-    if fam == "G":
-        return [(1, 2, 1, 0, 2, 0, 0), (1, 1, 1, 1, 1, 0, 1)]
-    raise AssertionError(fam)
+    return [(1, 2, 1, 0, 2, 0, 0), (1, 1, 1, 1, 1, 0, 1)]  # G
 
 
 def check_column_statistics() -> CriterionResult:
@@ -351,12 +349,13 @@ def weyl_group(rs: RootSystem) -> list[tuple[np.ndarray, int]]:
     acting on weight coordinates.
 
     Breadth first from the identity over the simple reflections
-    ``eye - outer(simple_weight_rows[i], e_i)``: an element is first reached
-    at its distance from the identity in the Cayley graph, which is its
-    length, so each length is read off the level and computed once.
+    ``eye - outer(cartan column i, e_i)``, dense, so that the oracle shares
+    no code with the sparse ``reflection_table`` that :func:`bwb` reads: an
+    element is first reached at its distance from the identity in the Cayley
+    graph, which is its length, so each length is read off the level once.
     """
     eye = np.eye(rs.rank, dtype=np.int64)
-    gens = [eye - np.outer(row, e) for row, e in zip(rs.simple_weight_rows, eye)]
+    gens = [eye - np.outer(col, e) for col, e in zip(zip(*rs.cartan), eye)]
     seen = {eye.tobytes()}
     group, level, length = [], [eye], 0
     while level:

@@ -1,8 +1,9 @@
-"""The nine acceptance checks, one test each, and mutations criterion 9 must catch."""
+"""The nine acceptance checks, one test each, and mutations criteria 2-9 must catch."""
 
 import dataclasses
 import re
 import shutil
+import time
 from collections import Counter
 from math import prod
 
@@ -132,6 +133,53 @@ def test_criterion8_catches_a_wrong_complement_row(monkeypatch, corrupt):
     res = check_rho_top_degree()
     assert not res.ok
     assert res.detail.startswith("A3: degree 5 rows are not gamma - 2 rho")
+
+
+def _for_type(name, real, wrong):
+    """``real`` with ``wrong``'s answer for the type ``name``."""
+    return lambda rs: wrong(rs) if str(rs.simple_type) == name else real(rs)
+
+
+#: (check, name it reads from rootcoh.verify, corruption of that function,
+#: start of the detail the check must give): each reaches a problem that the
+#: honest run never records.
+MUTATIONS = [
+    (check_coxeter_numbers, "_spot_coxeter", lambda real: lambda t: real(t) + (str(t) == "B3"),
+     "B3: h=6"),
+    (check_column_statistics, "column_stats",
+     lambda real: _for_type("C3", real, lambda rs: ((9,) * 7, *real(rs)[1:])),
+     "C3 column 0: (9, 9, 9, 9, 9, 9, 9) != (2, 2, 2, 0, 2, 1, 0)"),
+    (check_prop2_sufficiency, "prop2_threshold", lambda real: lambda rs, p: (0,) * rs.rank,
+     "A1 p=1 lam=(0): (-2)"),
+    (check_corollary5, "corollary_bound", lambda real: lambda rs: (0,) * rs.rank,
+     "A1 p=1: (-2)"),
+    (check_pairing_bound, "pairings", lambda real: lambda rs, x: real(rs, x) * 2,
+     "A1 j=1: bound 2 > 1"),
+    (check_pairing_bound, "pairings", lambda real: lambda rs, x: real(rs, x) // 2,
+     "A2: bound h-1 never attained"),
+    (check_certificates, "build_certificate",
+     lambda real: _for_type(
+         "E7", real, lambda rs: dataclasses.replace(real(rs), valid=False, failure="broken")
+     ),
+     "E7: broken"),
+]
+
+
+@pytest.mark.parametrize(
+    "check, name, corrupt, start",
+    MUTATIONS,
+    ids=["2", "3", "4", "5", "6-doubled", "6-halved", "7"],
+)
+def test_criteria_2_to_7_catch_a_mutation(monkeypatch, check, name, corrupt, start):
+    monkeypatch.setattr(verify, name, corrupt(getattr(verify, name)))
+    res = check()
+    assert not res.ok
+    assert res.detail.startswith(start)
+
+
+def test_a_check_past_its_time_limit_fails():
+    res = verify._result(1, "x", [], "fine", time.perf_counter() - 2, 1.0)
+    assert (res.ok, res.detail) == (False, "fine; exceeded time limit 1.0s")
 
 
 def test_criterion1_reports_a_missing_or_changed_golden_table(tmp_path):

@@ -370,6 +370,8 @@ def test_verify_all_json(capsys):
         ("roots", "A203"),
         ("coxeter", "A\u0663"),
         ("roots", "B\uff13"),
+        # past the interpreter's limit on digits, which parsing keeps
+        ("check-t1", "A1", "-p", "1" * 4301, "--lambda", "0"),
     ],
 )
 def test_out_of_contract_input_is_one_line_usage_error(capsys, argv):

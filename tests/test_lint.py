@@ -16,7 +16,9 @@ compare against, are named only in ``weyl.py`` and ``__init__``.  The
 output format stays inside ``cli.py``: no other module names ``SCHEMA``,
 defines a ``to_json_dict`` or writes a ``"schema"`` key.  In ``cli.py`` only
 ``main`` resolves the shared inputs and builds the failure record, so no
-subcommand grows an input or exit path of its own.
+subcommand grows an input or exit path of its own.  No module uses
+``assert`` or raises ``AssertionError``: invariants raise typed errors,
+which ``python -O`` keeps.
 """
 
 import ast
@@ -190,3 +192,20 @@ def test_only_cli_main_resolves_inputs_and_builds_the_failure_record():
             elsewhere[getattr(node, "name", type(node).__name__)] = found
     assert elsewhere == {}, f"only main may resolve inputs or fail: {elsewhere}"
     assert sorted(in_main) == ["_parse_lambda", "failure record", "root_system"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_invariants_raise_typed_errors_not_assert(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    raised = (
+        n.exc.func if isinstance(n.exc, ast.Call) else n.exc
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Raise) and n.exc is not None
+    )
+    asserts = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+    assertion_errors = [
+        e.lineno for e in raised if isinstance(e, ast.Name) and e.id == "AssertionError"
+    ]
+    assert asserts == assertion_errors == [], (
+        f"{path.name}: assert at lines {asserts}, AssertionError at lines {assertion_errors}"
+    )

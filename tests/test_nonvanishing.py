@@ -1,5 +1,6 @@
 """Witness weights, weight classification, certificates, and degree pages."""
 
+import dataclasses
 import random
 import re
 from collections import Counter
@@ -152,7 +153,7 @@ def _corrupted_certificate(monkeypatch, rs, target: Weight, outcome: BwbOutcome)
 
     monkeypatch.setattr(nonvanishing, "bwb", corrupted)
     cert = build_certificate(rs)
-    assert not cert.valid
+    assert cert.valid is False
     assert cert.records == () and cert.degree_totals == {}
     return cert
 
@@ -192,6 +193,38 @@ def test_certificate_catches_a_triple_singular_weight_that_regularizes(monkeypat
         f"{name}: weight {rec.mu} from root {rec.source.root_coords} "
         f"pairs to zero with {rec.nu.root_coords} but regularizes"
     )
+
+
+def test_certificate_catches_a_weight_with_no_witness_in_the_triple(monkeypatch):
+    # with no pairing zero anywhere, B2's first weight outside the triple
+    # is neither exceptional nor singular, and B2 has no extra weights
+    rs = root_system("B2")
+    ones = lambda rs_, x: np.ones((len(x), rs_.num_positive_roots), dtype=np.int64)
+    monkeypatch.setattr(nonvanishing, "pairings", ones)
+    cert = build_certificate(rs)
+    assert cert.valid is False
+    assert cert.failure == (
+        "B2: weight (-1,2) from root (1, 2) is neither exceptional nor singular "
+        "via the designated triple"
+    )
+
+
+@pytest.mark.parametrize(
+    "extra, degree, failure",
+    [
+        ((0, 1), 2, "a weight regularizes outside degrees 0 and 1"),
+        ((-2, 4), 0, "degree-1 total does not dominate the degree-0 total"),
+    ],
+)
+def test_certificate_checks_the_degree_totals(monkeypatch, extra, degree, failure):
+    # G2's extra weights (0,1) and (-2,4) regularize to degrees 0 and 1;
+    # moving one of them breaks one of the two checks on the totals
+    rs = root_system("G2")
+    mu = Weight(extra)
+    cert = _corrupted_certificate(
+        monkeypatch, rs, mu, dataclasses.replace(bwb(rs, mu), degree=degree)
+    )
+    assert cert.failure == failure
 
 
 def test_certificate_totals_are_the_e1_page_one_below_the_top():

@@ -84,6 +84,12 @@ def test_parse_rejects_garbage():
         SimpleType.parse("H4")
     with pytest.raises(RootSystemError):
         SimpleType.parse("B")
+    # the family check runs on every construction, dataclasses.replace too,
+    # so the per-family tables need no case for an unknown family
+    with pytest.raises(RootSystemError, match="^unknown family 'Q'$"):
+        SimpleType("Q", 5)
+    with pytest.raises(RootSystemError, match="^unknown family 'Q'$"):
+        dataclasses.replace(SimpleType("G", 2), family="Q")
 
 
 def test_highest_root_weight_examples():
@@ -240,7 +246,9 @@ def test_reflection_table_lists_the_dynkin_neighbours():
         rs = build_root_system(t)
         n, bound, neighbours = rs.reflection_table
         assert (n, bound, len(neighbours)) == (rs.rank, rs.num_positive_roots, rs.rank)
-        for i, row in enumerate(rs.simple_weight_rows):
+        for i, row in enumerate(zip(*rs.cartan)):
+            # column i of the Cartan matrix is the weight of the simple root alpha_i
+            assert row == rs.simple_root(i).weight.coords
             assert row[i] == 2
             assert dict(neighbours[i]) == {j: a for j, a in enumerate(row) if j != i and a}
             # a reflection moves node i and its neighbours only

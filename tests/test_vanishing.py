@@ -205,6 +205,8 @@ def test_check_requires_dominant_lambda():
     a2 = root_system("A2")
     with pytest.raises(VanishingError):
         check_theorem1(a2, 1, Weight.of(-1, 0))
+    with pytest.raises(VanishingError, match="^lambda has 3 coordinates$"):
+        check_theorem1(a2, 1, Weight((1, 1, 1)))
 
 
 def test_singular_witnesses_reverify():
