@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import re
 import sys
@@ -98,7 +99,14 @@ def _parse_lambda(rs: RootSystem, text: str | None) -> Weight:
 
 
 def _emit(doc: dict) -> None:
-    print(json.dumps(doc, indent=2))
+    """Write ``doc`` to standard output, the same bytes as
+    ``print(json.dumps(doc, indent=2))``, so the whole text is never held as
+    one string.  The encoder's chunks go out joined 4096 at a time: one write
+    per chunk would be one system call per chunk on an unbuffered stream."""
+    chunks = json.JSONEncoder(indent=2).iterencode(doc)
+    while text := "".join(itertools.islice(chunks, 4096)):
+        sys.stdout.write(text)
+    sys.stdout.write("\n")
 
 
 def _root_system_doc(rs: RootSystem) -> dict:

@@ -21,11 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-import numpy as np
-
 from .exterior import lambda_p_weights
 from .rootsys import Root, RootSystem, Weight
-from .weyl import BwbOutcome, bwb, pairings, weyl_dims
+from .weyl import BwbOutcome, bwb, weyl_dims
 
 
 class CertificateError(ValueError):
@@ -79,23 +77,25 @@ def classify_lemma11(rs: RootSystem) -> list[ClassifiedWeight]:
     exceptional (sourced at the triple {beta1, beta2, beta1 + beta2} itself:
     -beta2, -beta1, 0), or singular with an explicit witness ``nu`` from that
     triple, or, for G2 only, one of the two extra regular weights.  ``nu``
-    is the first of the triple whose column is 0 in one
-    :func:`~rootcoh.weyl.pairings` matrix of the ``mu + rho``, and each
+    is the first of the triple that ``x = mu + rho`` pairs to zero, read off
+    the coordinates ``x_i`` and ``x_j`` of the two simple roots, and each
     weight goes through :func:`bwb` once.  Any other outcome falsifies the
     classification and raises, naming the offending root.
     """
     i, j = _beta_indices(rs)
-    b1 = rs.simple_root(i)
-    b2 = rs.simple_root(j)
+    b1, b2 = rs.simple_root(i), rs.simple_root(j)
     sum_rc = tuple(a + b for a, b in zip(b1.root_coords, b2.root_coords))
     triple = (b1, b2, rs.root_by_coords(sum_rc))
     beta_w = b1.weight + b2.weight
-    mus = [alpha.weight - beta_w for alpha in rs.positive_roots]
-    cols = [rs.positive_roots.index(t) for t in triple]
-    hits = (pairings(rs, np.array([mu.coords for mu in mus]) + 1)[:, cols] == 0).tolist()
+    # b1^v and b2^v are the simple coroots i and j, and (b1 + b2)^v is zero
+    # off i and j, so x pairs with the triple to x_i, x_j and c_i x_i + c_j x_j
+    c_i, c_j = triple[2].coroot_coords[i], triple[2].coroot_coords[j]
 
     out: list[ClassifiedWeight] = []
-    for alpha, mu, hit in zip(rs.positive_roots, mus, hits):
+    for alpha in rs.positive_roots:
+        mu = alpha.weight - beta_w
+        x_i, x_j = mu.coords[i] + 1, mu.coords[j] + 1
+        hit = [x_i == 0, x_j == 0, c_i * x_i + c_j * x_j == 0]
         outcome = bwb(rs, mu)
         nu = None
         if alpha in triple:

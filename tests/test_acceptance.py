@@ -1,11 +1,13 @@
 """The nine acceptance checks, one test each, and mutations criteria 2-9 must catch."""
 
 import dataclasses
+import itertools
 import re
 import shutil
 import time
 from collections import Counter
 from math import prod
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -175,6 +177,70 @@ def test_criteria_2_to_7_catch_a_mutation(monkeypatch, check, name, corrupt, sta
     res = check()
     assert not res.ok
     assert res.detail.startswith(start)
+
+
+def _with_page(name, buckets):
+    """``e1_page`` with ``buckets`` in the page of the type ``name``."""
+    real = verify.e1_page
+
+    def page(rs, p, lam):
+        got = real(rs, p, lam)
+        return dataclasses.replace(got, buckets=buckets) if str(rs.simple_type) == name else got
+
+    return page
+
+
+def _stepping_clock(step):
+    """A ``time`` whose ``perf_counter`` advances by ``step`` on every read."""
+    return SimpleNamespace(perf_counter=itertools.count(0, step).__next__)
+
+
+#: The failure branches of criteria 4, 7 and 8 that the mutations above do
+#: not reach, in the same form: the certificate check's A2 pattern, the rho
+#: check's pages, and each per-item time limit.
+BRANCHES = [
+    (check_certificates, "build_certificate",
+     lambda real: _for_type(
+         "A2", real, lambda rs: dataclasses.replace(real(rs), lam=Weight.of(2, 1))
+     ),
+     "A2 witness weight is not rho"),
+    (check_certificates, "build_certificate",
+     lambda real: _for_type(
+         "A2", real, lambda rs: dataclasses.replace(real(rs), records=real(rs).records[1:])
+     ),
+     "A2 exceptional set {(1, -2), (0, 0)} != {(-2, 1), (1, -2), (0, 0)}"),
+    (check_rho_top_degree, "e1_page", lambda real: _with_page("B2", {1: 1}),
+     "B2: buckets {1: 1} not empty"),
+    (check_rho_top_degree, "e1_page", lambda real: _with_page("A2", {}),
+     "A2: expected a nonzero page at rho"),
+    (check_prop2_sufficiency, "time", lambda real: _stepping_clock(61),
+     "slowest type took 61.0s (limit 60s)"),
+    (check_certificates, "time", lambda real: _stepping_clock(1.5),
+     "slowest certificate took 1.50s (limit 1s)"),
+]
+
+
+@pytest.mark.parametrize(
+    "check, name, corrupt, start",
+    BRANCHES,
+    ids=["7-lambda", "7-exceptional", "8-buckets", "8-a2-page", "4-time", "7-time"],
+)
+def test_criteria_4_7_and_8_reach_each_failure_branch(monkeypatch, check, name, corrupt, start):
+    monkeypatch.setattr(verify, name, corrupt(getattr(verify, name)))
+    res = check()
+    assert not res.ok
+    assert res.detail.startswith(start)
+
+
+def test_criterion7_names_wrong_a2_totals_not_the_degrees(monkeypatch):
+    # the A2 degrees stay [1, 1, 0]; only the totals are wrong, and the
+    # detail says so
+    real = verify.build_certificate
+    monkeypatch.setattr(verify, "build_certificate", _for_type(
+        "A2", real, lambda rs: dataclasses.replace(real(rs), degree_totals={0: 1, 1: 3})
+    ))
+    res = check_certificates()
+    assert (res.ok, res.detail) == (False, "A2 degree totals {0: 1, 1: 3} != {0: 1, 1: 2}")
 
 
 def test_a_check_past_its_time_limit_fails():

@@ -7,6 +7,7 @@ import re
 import signal
 import subprocess
 import sys
+import tracemalloc
 from math import prod
 from pathlib import Path
 
@@ -511,6 +512,42 @@ def test_the_shared_parser_keeps_no_state(capsys):
     build_parser.cache_clear()
     shared = [run(capsys, *argv) for argv in calls + calls[:1]]
     assert shared == alone + alone[:1]
+
+
+def test_emit_writes_the_bytes_of_one_dumps(capsys):
+    doc = {"a": [], "b": {}, "c": [1, [2, {"d": "\u00e9\n"}]], "e": None, "f": 1.5}
+    cli._emit(doc)
+    assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
+
+
+class _CountingSink:
+    """A standard output that counts the characters written and keeps none."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_a_json_document_is_never_held_as_one_string(monkeypatch):
+    # roots A40 --format json writes about 1.2 MB; one joined string of it
+    # would peak at several times that, chunk by chunk it stays below 2x
+    root_system("A40")  # cached, so the catalogue is built outside the trace
+    sink = _CountingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(["roots", "A40", "--format", "json"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2 * sink.chars
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE here")

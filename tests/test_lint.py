@@ -16,9 +16,11 @@ compare against, are named only in ``weyl.py`` and ``__init__``.  The
 output format stays inside ``cli.py``: no other module names ``SCHEMA``,
 defines a ``to_json_dict`` or writes a ``"schema"`` key.  In ``cli.py`` only
 ``main`` resolves the shared inputs and builds the failure record, so no
-subcommand grows an input or exit path of its own.  No module uses
-``assert`` or raises ``AssertionError``: invariants raise typed errors,
-which ``python -O`` keeps.
+subcommand grows an input or exit path of its own; only ``_emit`` passes an
+``indent``, so it stays the one writer of documents, and it never calls
+``json.dumps``, which would build a whole document as one string.  No
+module uses ``assert`` or raises ``AssertionError``: invariants raise typed
+errors, which ``python -O`` keeps.
 """
 
 import ast
@@ -192,6 +194,22 @@ def test_only_cli_main_resolves_inputs_and_builds_the_failure_record():
             elsewhere[getattr(node, "name", type(node).__name__)] = found
     assert elsewhere == {}, f"only main may resolve inputs or fail: {elsewhere}"
     assert sorted(in_main) == ["_parse_lambda", "failure record", "root_system"]
+
+
+def _indented_calls(node: ast.AST) -> list[ast.Call]:
+    return [n for n in ast.walk(node)
+            if isinstance(n, ast.Call) and any(k.arg == "indent" for k in n.keywords)]
+
+
+def test_cli_writes_documents_only_through_emit():
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    emit = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_emit")
+    inside = _indented_calls(emit)
+    outside = [n.lineno for n in _indented_calls(tree) if n not in inside]
+    whole = [n.lineno for n in inside
+             if isinstance(n.func, ast.Attribute) and n.func.attr == "dumps"]
+    assert outside == [], f"cli.py indents a document outside _emit at lines {outside}"
+    assert whole == [], f"_emit builds the whole document as one string at lines {whole}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])

@@ -3,6 +3,7 @@
 import dataclasses
 import random
 import re
+import tracemalloc
 from collections import Counter
 from math import prod
 
@@ -28,7 +29,7 @@ from rootcoh.nonvanishing import (
     _beta_indices,
 )
 from rootcoh.rootsys import Weight, all_simple_types
-from rootcoh.weyl import BwbOutcome, WeylError, bwb, pairings
+from rootcoh.weyl import BwbOutcome, WeylError, bwb, pairing, pairings
 
 
 def test_witness_weight_examples():
@@ -77,6 +78,23 @@ def test_classify_b2_singular_witness():
     assert sing.nu.root_coords == (1, 0)
 
 
+@pytest.mark.parametrize(
+    "name", ["B3", "C4", "D5", "E6", "E8", "F4", "G2", "A12", "B9", "C9", "D12"]
+)
+def test_witness_is_the_first_of_the_triple_to_pair_to_zero(name):
+    # classify_lemma11 reads each pairing off two coordinates of mu + rho;
+    # the scalar reference pairs with every coroot of the triple in full
+    rs = root_system(name)
+    i, j = _beta_indices(rs)
+    both = tuple(int(k in (i, j)) for k in range(rs.rank))
+    triple = (rs.simple_root(i), rs.simple_root(j), rs.root_by_coords(both))
+    for r in classify_lemma11(rs):
+        x = [c + 1 for c in r.mu.coords]
+        zeros = [t for t in triple if pairing(rs, x, t) == 0]
+        if r.kind != "exceptional":
+            assert r.nu == (zeros[0] if zeros else None)
+
+
 def test_classify_g2_extras():
     g2 = root_system("G2")
     rows = classify_lemma11(g2)
@@ -116,6 +134,22 @@ def test_certificate_e8():
     assert cert.d == 120
     assert cert.num_singular == 117
     assert len(cert.exceptional) == 3
+
+
+def test_certificate_memory_is_linear_in_the_catalogue():
+    # each witness is read off two coordinates of its weight, so the traced
+    # peak stays within a few copies of the N x rank weights; an N x N
+    # pairing matrix of A60 alone is 1830 * 1831 * 8 bytes, 26.8 MB
+    rs = root_system("A60")
+    weights_bytes = rs.num_positive_roots * rs.rank * 8
+    tracemalloc.start()
+    try:
+        cert = build_certificate(rs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cert.valid
+    assert peak < 4 * weights_bytes
 
 
 def test_certificate_c2_accepted():
@@ -195,16 +229,19 @@ def test_certificate_catches_a_triple_singular_weight_that_regularizes(monkeypat
     )
 
 
-def test_certificate_catches_a_weight_with_no_witness_in_the_triple(monkeypatch):
-    # with no pairing zero anywhere, B2's first weight outside the triple
-    # is neither exceptional nor singular, and B2 has no extra weights
+def test_certificate_catches_a_weight_with_no_witness_in_the_triple():
+    # B2's root (1, 2) given the weight (1, 2) yields mu = (0,2), whose
+    # x = mu + rho = (1, 3) pairs to no zero with the triple; it is neither
+    # exceptional nor singular, and B2 has no extra weights
     rs = root_system("B2")
-    ones = lambda rs_, x: np.ones((len(x), rs_.num_positive_roots), dtype=np.int64)
-    monkeypatch.setattr(nonvanishing, "pairings", ones)
-    cert = build_certificate(rs)
+    roots = tuple(
+        dataclasses.replace(r, weight=Weight.of(1, 2)) if r.root_coords == (1, 2) else r
+        for r in rs.positive_roots
+    )
+    cert = build_certificate(dataclasses.replace(rs, positive_roots=roots))
     assert cert.valid is False
     assert cert.failure == (
-        "B2: weight (-1,2) from root (1, 2) is neither exceptional nor singular "
+        "B2: weight (0,2) from root (1, 2) is neither exceptional nor singular "
         "via the designated triple"
     )
 
