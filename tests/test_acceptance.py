@@ -196,8 +196,8 @@ def _stepping_clock(step):
 
 
 #: The failure branches of criteria 4, 7 and 8 that the mutations above do
-#: not reach, in the same form: the certificate check's A2 pattern, the rho
-#: check's pages, and each per-item time limit.
+#: not reach, in the same form: the certificate check's A2 pattern and
+#: totals, the rho check's pages, and each per-item time limit.
 BRANCHES = [
     (check_certificates, "build_certificate",
      lambda real: _for_type(
@@ -209,6 +209,12 @@ BRANCHES = [
          "A2", real, lambda rs: dataclasses.replace(real(rs), records=real(rs).records[1:])
      ),
      "A2 exceptional set {(1, -2), (0, 0)} != {(-2, 1), (1, -2), (0, 0)}"),
+    # the degrees stay [1, 1, 0], so the totals are the first problem named
+    (check_certificates, "build_certificate",
+     lambda real: _for_type(
+         "A2", real, lambda rs: dataclasses.replace(real(rs), degree_totals={0: 1, 1: 3})
+     ),
+     "A2 degree totals {0: 1, 1: 3} != {0: 1, 1: 2}"),
     (check_rho_top_degree, "e1_page", lambda real: _with_page("B2", {1: 1}),
      "B2: buckets {1: 1} not empty"),
     (check_rho_top_degree, "e1_page", lambda real: _with_page("A2", {}),
@@ -223,24 +229,13 @@ BRANCHES = [
 @pytest.mark.parametrize(
     "check, name, corrupt, start",
     BRANCHES,
-    ids=["7-lambda", "7-exceptional", "8-buckets", "8-a2-page", "4-time", "7-time"],
+    ids=["7-lambda", "7-exceptional", "7-totals", "8-buckets", "8-a2-page", "4-time", "7-time"],
 )
 def test_criteria_4_7_and_8_reach_each_failure_branch(monkeypatch, check, name, corrupt, start):
     monkeypatch.setattr(verify, name, corrupt(getattr(verify, name)))
     res = check()
     assert not res.ok
     assert res.detail.startswith(start)
-
-
-def test_criterion7_names_wrong_a2_totals_not_the_degrees(monkeypatch):
-    # the A2 degrees stay [1, 1, 0]; only the totals are wrong, and the
-    # detail says so
-    real = verify.build_certificate
-    monkeypatch.setattr(verify, "build_certificate", _for_type(
-        "A2", real, lambda rs: dataclasses.replace(real(rs), degree_totals={0: 1, 1: 3})
-    ))
-    res = check_certificates()
-    assert (res.ok, res.detail) == (False, "A2 degree totals {0: 1, 1: 3} != {0: 1, 1: 2}")
 
 
 def test_a_check_past_its_time_limit_fails():
